@@ -52,7 +52,6 @@ struct ArmRecord {
   std::size_t lp_cold_solves = 0;
   std::size_t lp_warm_resolves = 0;
   std::size_t lp_warm_start_hits = 0;
-  std::size_t lp_dense_fallbacks = 0;
   std::size_t lp_tableau_fallbacks = 0;
   std::size_t lp_basis_repairs = 0;
   double solve_seconds = 0.0;
@@ -91,7 +90,6 @@ ArmRecord run_arm(const char* name, const sim::SimOptions& options,
   record.lp_cold_solves = t.lp_cold_solves;
   record.lp_warm_resolves = t.lp_warm_resolves;
   record.lp_warm_start_hits = t.lp_warm_start_hits;
-  record.lp_dense_fallbacks = t.lp_dense_fallbacks;
   record.lp_tableau_fallbacks = t.lp_tableau_fallbacks;
   record.lp_basis_repairs = t.lp_basis_repairs;
   record.solve_seconds = result.total_solve_seconds;
@@ -116,15 +114,15 @@ void write_json(const std::vector<ArmRecord>& records, const std::string& path) 
                  "\"deadline_expirations\": %zu, \"fastpath_lp_fallbacks\": %zu, "
                  "\"lp_iterations\": %zu, \"lp_cold_solves\": %zu, "
                  "\"lp_warm_resolves\": %zu, \"lp_warm_start_hits\": %zu, "
-                 "\"lp_dense_fallbacks\": %zu, \"lp_tableau_fallbacks\": %zu, "
-                 "\"lp_basis_repairs\": %zu, \"solve_seconds\": %.6f, "
-                 "\"wall_seconds\": %.6f, \"total_actual\": %.6f}%s\n",
+                 "\"lp_tableau_fallbacks\": %zu, \"lp_basis_repairs\": %zu, "
+                 "\"solve_seconds\": %.6f, \"wall_seconds\": %.6f, "
+                 "\"total_actual\": %.6f}%s\n",
                  r.arm.c_str(), r.rounds, r.events_applied, r.max_devices_down,
                  r.every_round_fits ? "true" : "false", r.degraded_rounds,
                  r.fallback_rounds, r.deadline_expirations, r.fastpath_lp_fallbacks,
                  r.lp_iterations, r.lp_cold_solves, r.lp_warm_resolves,
-                 r.lp_warm_start_hits, r.lp_dense_fallbacks, r.lp_tableau_fallbacks,
-                 r.lp_basis_repairs, r.solve_seconds, r.wall_seconds, r.total_actual,
+                 r.lp_warm_start_hits, r.lp_tableau_fallbacks, r.lp_basis_repairs,
+                 r.solve_seconds, r.wall_seconds, r.total_actual,
                  i + 1 < records.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -207,7 +205,7 @@ int main(int argc, char** argv) {
       run_arm("cold_per_event", cold_options, cluster, catalog, gpu_names, zoo, trace));
 
   common::Table table({"arm", "rounds", "events", "down(max)", "degraded", "fallback",
-                       "pivots", "cold", "warm", "repairs", "dense fb", "tableau fb",
+                       "pivots", "cold", "warm", "repairs", "tableau fb",
                        "wall (s)"});
   for (const ArmRecord& r : records) {
     table.add_row({r.arm, std::to_string(r.rounds), std::to_string(r.events_applied),
@@ -216,7 +214,6 @@ int main(int argc, char** argv) {
                    std::to_string(r.lp_cold_solves),
                    std::to_string(r.lp_warm_resolves + r.lp_warm_start_hits),
                    std::to_string(r.lp_basis_repairs),
-                   std::to_string(r.lp_dense_fallbacks),
                    std::to_string(r.lp_tableau_fallbacks),
                    common::format_double(r.wall_seconds, 3)});
   }
@@ -238,7 +235,7 @@ int main(int argc, char** argv) {
   check("warm arm: every round fits the surviving capacity", warm.every_round_fits);
   check("cold arm: every round fits the surviving capacity", cold.every_round_fits);
   check("faults engaged the repair/ladder machinery",
-        warm.lp_basis_repairs + warm.lp_dense_fallbacks + warm.lp_tableau_fallbacks > 0);
+        warm.lp_basis_repairs + warm.lp_tableau_fallbacks > 0);
   check("no round needed the terminal last-feasible fallback",
         warm.fallback_rounds == 0 && cold.fallback_rounds == 0);
   const double ratio = static_cast<double>(cold.lp_iterations) /

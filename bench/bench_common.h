@@ -3,10 +3,9 @@
 // header / check-line emission every bench prints.
 //
 // The bench surface itself is documented in docs/BENCHMARKS.md. The solver
-// benches (bench_scaling, bench_fig10a_overhead) sweep the current solver
-// arms — basis (factored LU vs dense B^-1) x storage (sparse vs dense
-// pricing) x pricing rule (devex vs Dantzig) — with the slower configuration
-// of each pair kept as a cross-checked reference, not as the product.
+// benches (bench_scaling, bench_fig10a_overhead) run the shipped revised
+// simplex against the full-tableau reference, which is kept as a
+// cross-checked reference, not as the product.
 // print_check lines are the machine-visible pass/fail surface: bench_scaling
 // exits with the number of failed checks so CI fails loudly.
 #pragma once

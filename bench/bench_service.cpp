@@ -22,7 +22,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -36,6 +38,7 @@
 #include "bench_common.h"
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "service/client.h"
 #include "service/daemon.h"
 #include "service/service.h"
@@ -85,13 +88,11 @@ std::vector<double> random_demand(oef::common::Rng& rng, std::size_t k) {
   return demand;
 }
 
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t index = std::min(values.size() - 1,
-                                     static_cast<std::size_t>(p * values.size()));
-  return values[index];
-}
+/// Per-run directory for every socket and checkpoint, so overlapping runs
+/// never collide. Created by main() (mkdtemp) and removed before it returns.
+std::string g_run_dir;
+
+std::string run_path(const std::string& name) { return g_run_dir + "/" + name; }
 
 // ---------------------------------------------------------------------------
 // Latency arms: batched (coalescing) vs unbatched.
@@ -114,7 +115,7 @@ struct LatencyRecord {
 LatencyRecord run_latency_arm(const std::string& arm, double coalesce_seconds,
                               std::size_t tenants, std::size_t updates_per_thread,
                               std::size_t threads) {
-  const std::string socket_path = "/tmp/oefd_bench_" + arm + ".sock";
+  const std::string socket_path = run_path(arm + ".sock");
   ServiceOptions service_options;
   service_options.capacities = {8.0, 4.0, 4.0};
   service_options.coalesce_window_seconds = coalesce_seconds;
@@ -197,12 +198,15 @@ LatencyRecord run_latency_arm(const std::string& arm, double coalesce_seconds,
   LatencyRecord record;
   record.arm = arm;
   record.updates = all_updates.size();
-  record.update_p50_ms = percentile(all_updates, 0.50);
-  record.update_p99_ms = percentile(all_updates, 0.99);
-  record.allocate_p50_ms = percentile(allocate_latencies, 0.50);
-  record.allocate_p99_ms = percentile(allocate_latencies, 0.99);
-  record.query_p50_ms = percentile(query_latencies, 0.50);
-  record.query_p99_ms = percentile(query_latencies, 0.99);
+  const auto percentile = [](const std::vector<double>& values, double p) {
+    return values.empty() ? 0.0 : oef::common::percentile(values, p);
+  };
+  record.update_p50_ms = percentile(all_updates, 50.0);
+  record.update_p99_ms = percentile(all_updates, 99.0);
+  record.allocate_p50_ms = percentile(allocate_latencies, 50.0);
+  record.allocate_p99_ms = percentile(allocate_latencies, 99.0);
+  record.query_p50_ms = percentile(query_latencies, 50.0);
+  record.query_p99_ms = percentile(query_latencies, 99.0);
   record.resolves = stats.resolves;
   record.batches = stats.batches;
   record.max_batch = stats.max_batch_size;
@@ -225,7 +229,7 @@ struct RestartRecord {
 };
 
 RestartRecord run_restart_arm(std::size_t tenants) {
-  const std::string checkpoint = "/tmp/oefd_bench_restart.ckpt";
+  const std::string checkpoint = run_path("restart.ckpt");
   std::remove(checkpoint.c_str());
   ServiceOptions options;
   options.capacities = {8.0, 4.0, 4.0};
@@ -302,7 +306,7 @@ struct OverloadRecord {
 };
 
 OverloadRecord run_overload_arm() {
-  const std::string socket_path = "/tmp/oefd_bench_overload.sock";
+  const std::string socket_path = run_path("overload.sock");
   ServiceOptions service_options;
   service_options.capacities = {8.0, 4.0, 4.0};
   service_options.max_queue_depth = 2;
@@ -425,8 +429,8 @@ double health_stat(AllocatorClient& client, const std::string& key) {
 }
 
 SoakRecord run_soak(double soak_seconds) {
-  const std::string socket_path = "/tmp/oefd_bench_soak.sock";
-  const std::string checkpoint_path = "/tmp/oefd_bench_soak.ckpt";
+  const std::string socket_path = run_path("soak.sock");
+  const std::string checkpoint_path = run_path("soak.ckpt");
   std::remove(checkpoint_path.c_str());
 
   SoakRecord record;
@@ -622,6 +626,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  const char* tmpdir = std::getenv("TMPDIR");
+  std::string run_dir = tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp";
+  run_dir += "/oefd_bench_XXXXXX";
+  if (mkdtemp(run_dir.data()) == nullptr) {
+    std::printf("could not create a run directory under %s\n", run_dir.c_str());
+    return 1;
+  }
+  g_run_dir = run_dir;
+
   oef::bench::print_header(
       "Service: allocator daemon latency, overload, crash-restart chaos",
       "a serving layer over warm LP state: coalesced batches, graceful "
@@ -661,6 +674,8 @@ int main(int argc, char** argv) {
   check("every restart restored warm", soak.warm_restarts == soak.restarts);
 
   write_json(output, latency, restart, overload, soak);
+  std::error_code ignored;
+  std::filesystem::remove_all(g_run_dir, ignored);
   std::printf("\n%d check(s) failed\n", g_failed_checks);
   return g_failed_checks;
 }

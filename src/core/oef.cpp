@@ -289,7 +289,6 @@ AllocationResult OefAllocator::solve_non_cooperative(
   result.status = solution.status;
   result.lp_iterations = solution.iterations;
   result.solve_seconds = stats_after.solve_seconds - stats_before.solve_seconds;
-  result.dense_fallbacks = stats_after.dense_fallbacks - stats_before.dense_fallbacks;
   result.tableau_fallbacks = stats_after.tableau_fallbacks - stats_before.tableau_fallbacks;
   result.basis_repairs = stats_after.basis_repairs - stats_before.basis_repairs;
   if (solution.warm_started) {
@@ -321,7 +320,6 @@ AllocationResult OefAllocator::solve_cooperative(
   const solver::LpSolverStats stats_before = coop_solver_.stats();
   const auto harvest_ladder_stats = [&] {
     const solver::LpSolverStats& after = coop_solver_.stats();
-    result.dense_fallbacks = after.dense_fallbacks - stats_before.dense_fallbacks;
     result.tableau_fallbacks = after.tableau_fallbacks - stats_before.tableau_fallbacks;
     result.basis_repairs = after.basis_repairs - stats_before.basis_repairs;
   };

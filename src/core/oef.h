@@ -146,9 +146,8 @@ struct AllocationResult {
   /// the last relaxation optimum was returned (outcome == kDegraded).
   bool deadline_expired = false;
   /// Degradation-ladder counters for this call (deltas of the solver's
-  /// cumulative stats): factored→dense cold retries, tableau fallbacks, and
-  /// deficient basis positions repaired.
-  std::size_t dense_fallbacks = 0;
+  /// cumulative stats): tableau fallbacks and deficient basis positions
+  /// repaired.
   std::size_t tableau_fallbacks = 0;
   std::size_t basis_repairs = 0;
 

@@ -22,10 +22,10 @@ struct SchedulerTelemetry {
   std::size_t lp_cold_solves = 0;
   std::size_t lp_warm_resolves = 0;
   std::size_t lp_warm_start_hits = 0;
-  /// Degradation-ladder rungs taken inside the solver: factored→dense cold
-  /// retries, tableau reference fallbacks, and singular-basis positions
-  /// repaired during refactorisation.
+  /// Always 0: the dense-basis rung is gone; kept for perfbench/, which reads it.
   std::size_t lp_dense_fallbacks = 0;
+  /// Degradation-ladder rungs taken inside the solver: tableau reference
+  /// fallbacks and singular-basis positions repaired during refactorisation.
   std::size_t lp_tableau_fallbacks = 0;
   std::size_t lp_basis_repairs = 0;
   std::size_t lp_iterations = 0;
@@ -48,7 +48,6 @@ struct SchedulerTelemetry {
     lp_cold_solves += other.lp_cold_solves;
     lp_warm_resolves += other.lp_warm_resolves;
     lp_warm_start_hits += other.lp_warm_start_hits;
-    lp_dense_fallbacks += other.lp_dense_fallbacks;
     lp_tableau_fallbacks += other.lp_tableau_fallbacks;
     lp_basis_repairs += other.lp_basis_repairs;
     lp_iterations += other.lp_iterations;
@@ -102,7 +101,6 @@ class Scheduler {
   t.lp_cold_solves = stats.cold_solves;
   t.lp_warm_resolves = stats.warm_resolves;
   t.lp_warm_start_hits = stats.warm_start_hits;
-  t.lp_dense_fallbacks = stats.dense_fallbacks;
   t.lp_tableau_fallbacks = stats.tableau_fallbacks;
   t.lp_basis_repairs = stats.basis_repairs;
   t.lp_iterations = stats.total_iterations;

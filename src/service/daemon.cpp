@@ -84,13 +84,15 @@ void Daemon::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown() wakes the accept() blocked in accept_loop; the fd is closed
+  // and reset only once that thread, which reads listen_fd_, has exited.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  shutdown_cv_.notify_all();
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  shutdown_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -8,10 +8,8 @@
 
 namespace oef::solver {
 
-namespace internal {
-
 namespace {
-/// Pivot acceptance threshold of both refactorisations: a basis whose best
+/// Pivot acceptance threshold of the refactorisation: a basis whose best
 /// remaining pivot candidate is below this is reported singular.
 constexpr double kSingularTol = 1e-12;
 /// Threshold partial pivoting: rows within this factor of the largest
@@ -19,254 +17,6 @@ constexpr double kSingularTol = 1e-12;
 constexpr double kPivotThreshold = 0.1;
 }  // namespace
 
-class BasisImpl {
- public:
-  virtual ~BasisImpl() = default;
-  [[nodiscard]] virtual std::unique_ptr<BasisImpl> clone() const = 0;
-  [[nodiscard]] virtual BasisKind kind() const = 0;
-
-  [[nodiscard]] std::size_t size() const { return basic_.size(); }
-  [[nodiscard]] const std::vector<std::size_t>& basic() const { return basic_; }
-  [[nodiscard]] std::size_t pivots_since_refactor() const { return pivots_since_refactor_; }
-
-  virtual void set_basic(std::vector<std::size_t> basic) = 0;
-  [[nodiscard]] virtual bool refactor(const SparseMatrix& columns) = 0;
-  [[nodiscard]] virtual bool refactor_due(std::size_t interval_floor,
-                                          double fill_growth) const = 0;
-  [[nodiscard]] virtual std::vector<double> ftran(const std::vector<double>& a) const = 0;
-  [[nodiscard]] virtual std::vector<double> ftran(const std::vector<SparseEntry>& a) const = 0;
-  [[nodiscard]] virtual std::vector<double> btran(const std::vector<double>& cb) const = 0;
-  [[nodiscard]] virtual std::vector<double> btran_unit(std::size_t pos) const = 0;
-  virtual void pivot(std::size_t leave_row, std::size_t enter_col,
-                     const std::vector<double>& ftran_col) = 0;
-  virtual void append_row(const std::vector<double>& row_basic_coeffs,
-                          std::size_t slack_col) = 0;
-  [[nodiscard]] virtual bool delete_rows(const std::vector<std::size_t>& positions,
-                                         const std::vector<std::size_t>& rows,
-                                         const std::vector<std::size_t>& col_remap) = 0;
-  [[nodiscard]] virtual std::size_t factor_entries() const = 0;
-
-  /// After a refactor() failure: (basis position, constraint row) pairs the
-  /// factorisation could not pivot. Empty for the dense representation
-  /// (whose Gauss-Jordan failure aborts outright).
-  [[nodiscard]] virtual const std::vector<std::pair<std::size_t, std::size_t>>&
-  deficiency() const {
-    static const std::vector<std::pair<std::size_t, std::size_t>> kEmpty;
-    return kEmpty;
-  }
-
-  /// Fault injection (see Basis::corrupt_last_eta). Representations without
-  /// a product-form update file have nothing to corrupt.
-  virtual bool corrupt_last_eta(double /*factor*/) { return false; }
-
- protected:
-  /// Drops the sorted `positions` from basic_ and renumbers the survivors.
-  void delete_basic_positions(const std::vector<std::size_t>& positions,
-                              const std::vector<std::size_t>& col_remap) {
-    std::vector<std::size_t> kept;
-    kept.reserve(basic_.size() - positions.size());
-    std::size_t next = 0;
-    for (std::size_t p = 0; p < basic_.size(); ++p) {
-      if (next < positions.size() && positions[next] == p) {
-        ++next;
-        continue;
-      }
-      OEF_CHECK(basic_[p] < col_remap.size() && col_remap[basic_[p]] != SIZE_MAX);
-      kept.push_back(col_remap[basic_[p]]);
-    }
-    OEF_CHECK(next == positions.size());
-    basic_ = std::move(kept);
-  }
-
-  std::vector<std::size_t> basic_;
-  std::size_t pivots_since_refactor_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// DenseBasis: explicit dense B^-1 (the PR 2 representation, kept as the
-// pivot-identical reference arm).
-// ---------------------------------------------------------------------------
-
-class DenseBasis final : public BasisImpl {
- public:
-  [[nodiscard]] std::unique_ptr<BasisImpl> clone() const override {
-    return std::make_unique<DenseBasis>(*this);
-  }
-  [[nodiscard]] BasisKind kind() const override { return BasisKind::kDense; }
-
-  void set_basic(std::vector<std::size_t> basic) override {
-    basic_ = std::move(basic);
-    binv_.assign(basic_.size(), std::vector<double>(basic_.size(), 0.0));
-    for (std::size_t i = 0; i < basic_.size(); ++i) binv_[i][i] = 1.0;
-    pivots_since_refactor_ = 0;
-  }
-
-  bool refactor(const SparseMatrix& columns) override {
-    const std::size_t m = basic_.size();
-    if (m == 0) {
-      pivots_since_refactor_ = 0;
-      return true;
-    }
-    // Assemble [B | I] and run Gauss-Jordan with partial pivoting.
-    std::vector<std::vector<double>> work(m, std::vector<double>(2 * m, 0.0));
-    std::vector<double> col(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      columns.gather_column(basic_[j], col);
-      for (std::size_t r = 0; r < m; ++r) work[r][j] = col[r];
-      work[j][m + j] = 1.0;
-    }
-    for (std::size_t c = 0; c < m; ++c) {
-      std::size_t pivot = c;
-      for (std::size_t r = c; r < m; ++r) {
-        if (std::abs(work[r][c]) > std::abs(work[pivot][c])) pivot = r;
-      }
-      if (std::abs(work[pivot][c]) < kSingularTol) return false;
-      std::swap(work[c], work[pivot]);
-      const double inv = 1.0 / work[c][c];
-      for (double& v : work[c]) v *= inv;
-      for (std::size_t r = 0; r < m; ++r) {
-        if (r == c) continue;
-        const double f = work[r][c];
-        if (f == 0.0) continue;
-        for (std::size_t k = c; k < 2 * m; ++k) work[r][k] -= f * work[c][k];
-      }
-    }
-    for (std::size_t r = 0; r < m; ++r) {
-      std::copy(work[r].begin() + static_cast<std::ptrdiff_t>(m), work[r].end(),
-                binv_[r].begin());
-    }
-    pivots_since_refactor_ = 0;
-    return true;
-  }
-
-  bool refactor_due(std::size_t interval_floor, double /*fill_growth*/) const override {
-    // Adaptive interval: a refactorisation costs O(m^3) while a pivot update
-    // costs O(m^2), so spacing refactorisations at least m pivots apart keeps
-    // the amortised refactor cost at one pivot's worth; interval_floor acts
-    // as the small-problem floor.
-    const std::size_t interval =
-        std::max<std::size_t>(std::max<std::size_t>(1, interval_floor), basic_.size());
-    return pivots_since_refactor_ >= interval;
-  }
-
-  std::vector<double> ftran(const std::vector<double>& a) const override {
-    const std::size_t m = basic_.size();
-    OEF_CHECK(a.size() == m);
-    std::vector<double> w(m, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::vector<double>& row = binv_[i];
-      double acc = 0.0;
-      for (std::size_t k = 0; k < m; ++k) acc += row[k] * a[k];
-      w[i] = acc;
-    }
-    return w;
-  }
-
-  std::vector<double> ftran(const std::vector<SparseEntry>& a) const override {
-    const std::size_t m = basic_.size();
-    std::vector<double> w(m, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::vector<double>& row = binv_[i];
-      double acc = 0.0;
-      for (const SparseEntry& entry : a) acc += row[entry.row] * entry.value;
-      w[i] = acc;
-    }
-    return w;
-  }
-
-  std::vector<double> btran(const std::vector<double>& cb) const override {
-    const std::size_t m = basic_.size();
-    OEF_CHECK(cb.size() == m);
-    std::vector<double> y(m, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const double c = cb[i];
-      if (c == 0.0) continue;
-      const std::vector<double>& row = binv_[i];
-      for (std::size_t k = 0; k < m; ++k) y[k] += c * row[k];
-    }
-    return y;
-  }
-
-  std::vector<double> btran_unit(std::size_t pos) const override {
-    OEF_CHECK(pos < basic_.size());
-    return binv_[pos];
-  }
-
-  void pivot(std::size_t leave_row, std::size_t enter_col,
-             const std::vector<double>& ftran_col) override {
-    const std::size_t m = basic_.size();
-    OEF_CHECK(leave_row < m);
-    OEF_CHECK(ftran_col.size() == m);
-    std::vector<double>& prow = binv_[leave_row];
-    const double inv = 1.0 / ftran_col[leave_row];
-    for (double& v : prow) v *= inv;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (i == leave_row) continue;
-      const double f = ftran_col[i];
-      if (f == 0.0) continue;
-      std::vector<double>& row = binv_[i];
-      for (std::size_t k = 0; k < m; ++k) row[k] -= f * prow[k];
-    }
-    basic_[leave_row] = enter_col;
-    ++pivots_since_refactor_;
-  }
-
-  void append_row(const std::vector<double>& row_basic_coeffs,
-                  std::size_t slack_col) override {
-    const std::size_t m = basic_.size();
-    OEF_CHECK(row_basic_coeffs.size() == m);
-    // New bottom row of the inverse: -a_B^T B^-1, then 1 on the diagonal.
-    std::vector<double> bottom(m + 1, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const double c = row_basic_coeffs[i];
-      if (c == 0.0) continue;
-      const std::vector<double>& row = binv_[i];
-      for (std::size_t k = 0; k < m; ++k) bottom[k] -= c * row[k];
-    }
-    bottom[m] = 1.0;
-    for (std::size_t i = 0; i < m; ++i) binv_[i].push_back(0.0);
-    binv_.push_back(std::move(bottom));
-    basic_.push_back(slack_col);
-  }
-
-  bool delete_rows(const std::vector<std::size_t>& positions,
-                   const std::vector<std::size_t>& rows,
-                   const std::vector<std::size_t>& col_remap) override {
-    // Each deleted position holds a unit column of the matching deleted row,
-    // so B (suitably permuted) is block triangular with a diagonal +-1 block
-    // on the deleted pairs — the reduced inverse is exactly B^-1 with the
-    // deleted positions' rows and the deleted constraints' columns removed.
-    const std::size_t m = basic_.size();
-    OEF_CHECK(positions.size() == rows.size());
-    std::vector<char> drop_pos(m, 0);
-    std::vector<char> drop_row(m, 0);
-    for (const std::size_t p : positions) drop_pos[p] = 1;
-    for (const std::size_t r : rows) drop_row[r] = 1;
-    std::vector<std::vector<double>> reduced;
-    reduced.reserve(m - positions.size());
-    for (std::size_t i = 0; i < m; ++i) {
-      if (drop_pos[i]) continue;
-      std::vector<double> row;
-      row.reserve(m - rows.size());
-      for (std::size_t k = 0; k < m; ++k) {
-        if (!drop_row[k]) row.push_back(binv_[i][k]);
-      }
-      reduced.push_back(std::move(row));
-    }
-    binv_ = std::move(reduced);
-    delete_basic_positions(positions, col_remap);
-    return true;
-  }
-
-  std::size_t factor_entries() const override { return basic_.size() * basic_.size(); }
-
- private:
-  std::vector<std::vector<double>> binv_;
-};
-
-// ---------------------------------------------------------------------------
-// FactoredLuBasis: sparse LU of B + product-form eta file.
-//
 // Refactorisation is a left-looking Gilbert–Peierls elimination: columns are
 // processed sparsest-first (which makes the basic slack/artificial unit
 // columns factor with zero fill — the dominant case in the row-generation
@@ -278,261 +28,213 @@ class DenseBasis final : public BasisImpl {
 // triangular sweeps are in scatter form, so zero intermediates are skipped —
 // a sparse right-hand side (one constraint column in ftran, the
 // mostly-structural c_B in btran) costs O(reachable nonzeros), not O(m^2).
-// ---------------------------------------------------------------------------
 
-class FactoredLuBasis final : public BasisImpl {
- public:
-  [[nodiscard]] std::unique_ptr<BasisImpl> clone() const override {
-    return std::make_unique<FactoredLuBasis>(*this);
+void Basis::set_basic(std::vector<std::size_t> basic) {
+  basic_ = std::move(basic);
+  install_identity();
+}
+
+bool Basis::refactor_due(std::size_t eta_cap, double fill_growth) const {
+  // Refactorise when the file is long (every eta is an extra pass in each
+  // solve) or when its fill outgrows the fresh factor (the solves' sparsity
+  // advantage is eroding).
+  if (etas_.size() >= std::max<std::size_t>(eta_cap, 1)) return true;
+  const double fresh = static_cast<double>(lu_nnz_ + basic_.size());
+  return static_cast<double>(eta_nnz_) > fill_growth * fresh;
+}
+
+std::vector<double> Basis::ftran(const std::vector<double>& a) const {
+  const std::size_t m = basic_.size();
+  OEF_CHECK(a.size() == m);
+  std::vector<double> z(m, 0.0);
+  for (std::size_t k = 0; k < m; ++k) z[k] = a[row_of_[k]];
+  return ftran_factor_space(std::move(z));
+}
+
+std::vector<double> Basis::ftran(const std::vector<SparseEntry>& a) const {
+  std::vector<double> z(basic_.size(), 0.0);
+  // += so duplicate-row entries accumulate.
+  for (const SparseEntry& entry : a) z[factor_of_row_[entry.row]] += entry.value;
+  return ftran_factor_space(std::move(z));
+}
+
+std::vector<double> Basis::btran(const std::vector<double>& cb) const {
+  OEF_CHECK(cb.size() == basic_.size());
+  return btran_position_space(cb);
+}
+
+std::vector<double> Basis::btran_unit(std::size_t pos) const {
+  const std::size_t m = basic_.size();
+  OEF_CHECK(pos < m);
+  std::vector<double> c(m, 0.0);
+  c[pos] = 1.0;
+  return btran_position_space(std::move(c));
+}
+
+void Basis::pivot(std::size_t leave_row, std::size_t enter_col,
+                  const std::vector<double>& ftran_col) {
+  const std::size_t m = basic_.size();
+  OEF_CHECK(leave_row < m);
+  OEF_CHECK(ftran_col.size() == m);
+  Eta eta;
+  eta.pos = leave_row;
+  eta.pivot = ftran_col[leave_row];
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i == leave_row || ftran_col[i] == 0.0) continue;
+    eta.others.push_back({i, ftran_col[i]});
   }
-  [[nodiscard]] BasisKind kind() const override { return BasisKind::kFactoredLu; }
+  eta_nnz_ += eta.others.size() + 1;
+  etas_.push_back(std::move(eta));
+  basic_[leave_row] = enter_col;
+}
 
-  void set_basic(std::vector<std::size_t> basic) override {
-    basic_ = std::move(basic);
-    install_identity();
-    pivots_since_refactor_ = 0;
+void Basis::append_row(const std::vector<double>& row_basic_coeffs, std::size_t slack_col) {
+  const std::size_t m = basic_.size();
+  OEF_CHECK(row_basic_coeffs.size() == m);
+  // Bordered update: B' = [[B, 0], [a^T, 1]]. With B = P_r^T L U P_c^T E,
+  // the extension only needs the new L row h solving h^T U = (P_c^T E^-T a)^T
+  // — one eta pass plus one sparse U^T solve; L, U and the eta file are
+  // otherwise untouched.
+  std::vector<double> b = row_basic_coeffs;
+  apply_eta_transposes(b);
+  std::vector<double> h(m + 1, 0.0);
+  for (std::size_t k = 0; k < m; ++k) h[k] = b[col_order_[k]];
+  solve_ut(h, m);
+  std::vector<Entry> lrow;
+  for (std::size_t k = 0; k < m; ++k) {
+    if (h[k] == 0.0) continue;
+    lcols_[k].push_back({m, h[k]});
+    lrow.push_back({k, h[k]});
   }
+  lu_nnz_ += lrow.size() + 1;
+  lrows_.push_back(std::move(lrow));
+  lcols_.emplace_back();
+  ucols_.emplace_back();
+  urows_.emplace_back();
+  udiag_.push_back(1.0);
+  row_of_.push_back(m);
+  factor_of_row_.push_back(m);
+  col_order_.push_back(m);
+  basic_.push_back(slack_col);
+}
 
-  bool refactor(const SparseMatrix& columns) override;
-
-  bool refactor_due(std::size_t interval_floor, double fill_growth) const override {
-    // Eta-file policy: refactorise when the file is long (every eta is an
-    // extra pass in each solve) or when its fill outgrows the fresh factor
-    // (the solves' sparsity advantage is eroding). Unlike the dense pivot
-    // count this tracks the actual cost of the representation.
-    const std::size_t length_cap = std::max<std::size_t>(interval_floor, 1);
-    if (etas_.size() >= length_cap) return true;
-    const double fresh = static_cast<double>(lu_nnz_ + basic_.size());
-    return static_cast<double>(eta_nnz_) > fill_growth * fresh;
-  }
-
-  std::vector<double> ftran(const std::vector<double>& a) const override {
-    const std::size_t m = basic_.size();
-    OEF_CHECK(a.size() == m);
-    std::vector<double> z(m, 0.0);
-    for (std::size_t k = 0; k < m; ++k) z[k] = a[row_of_[k]];
-    return ftran_factor_space(std::move(z));
-  }
-
-  std::vector<double> ftran(const std::vector<SparseEntry>& a) const override {
-    const std::size_t m = basic_.size();
-    std::vector<double> z(m, 0.0);
-    // += so duplicate-row entries accumulate exactly as in the dense arm.
-    for (const SparseEntry& entry : a) z[factor_of_row_[entry.row]] += entry.value;
-    return ftran_factor_space(std::move(z));
-  }
-
-  std::vector<double> btran(const std::vector<double>& cb) const override {
-    OEF_CHECK(cb.size() == basic_.size());
-    std::vector<double> c = cb;
-    return btran_position_space(std::move(c));
-  }
-
-  std::vector<double> btran_unit(std::size_t pos) const override {
-    const std::size_t m = basic_.size();
-    OEF_CHECK(pos < m);
-    std::vector<double> c(m, 0.0);
-    c[pos] = 1.0;
-    return btran_position_space(std::move(c));
-  }
-
-  void pivot(std::size_t leave_row, std::size_t enter_col,
-             const std::vector<double>& ftran_col) override {
-    const std::size_t m = basic_.size();
-    OEF_CHECK(leave_row < m);
-    OEF_CHECK(ftran_col.size() == m);
-    Eta eta;
-    eta.pos = leave_row;
-    eta.pivot = ftran_col[leave_row];
-    for (std::size_t i = 0; i < m; ++i) {
-      if (i == leave_row || ftran_col[i] == 0.0) continue;
-      eta.others.push_back({i, ftran_col[i]});
+void Basis::delete_rows(const std::vector<std::size_t>& positions,
+                        const std::vector<std::size_t>& col_remap) {
+  // The vertex survives deletion (the dropped rows carried basic unit
+  // columns), but patching a permuted sparse LU in place does not pay: shrink
+  // the basic set and let the caller refactorise — a fresh sparse
+  // factorisation of the reduced basis is O(fill).
+  std::vector<std::size_t> kept;
+  kept.reserve(basic_.size() - positions.size());
+  std::size_t next = 0;
+  for (std::size_t p = 0; p < basic_.size(); ++p) {
+    if (next < positions.size() && positions[next] == p) {
+      ++next;
+      continue;
     }
-    eta_nnz_ += eta.others.size() + 1;
-    etas_.push_back(std::move(eta));
-    basic_[leave_row] = enter_col;
-    ++pivots_since_refactor_;
+    OEF_CHECK(basic_[p] < col_remap.size() && col_remap[basic_[p]] != SIZE_MAX);
+    kept.push_back(col_remap[basic_[p]]);
   }
+  OEF_CHECK(next == positions.size());
+  set_basic(std::move(kept));
+}
 
-  void append_row(const std::vector<double>& row_basic_coeffs,
-                  std::size_t slack_col) override {
-    const std::size_t m = basic_.size();
-    OEF_CHECK(row_basic_coeffs.size() == m);
-    // Bordered update: B' = [[B, 0], [a^T, 1]]. With B = P_r^T L U P_c^T E,
-    // the extension only needs the new L row h solving h^T U = (P_c^T E^-T a)^T
-    // — one eta pass plus one sparse U^T solve; L, U and the eta file are
-    // otherwise untouched.
-    std::vector<double> b = row_basic_coeffs;
-    apply_eta_transposes(b);
-    std::vector<double> h(m + 1, 0.0);
-    for (std::size_t k = 0; k < m; ++k) h[k] = b[col_order_[k]];
-    solve_ut(h, m);
-    std::vector<Entry> lrow;
-    for (std::size_t k = 0; k < m; ++k) {
-      if (h[k] == 0.0) continue;
-      lcols_[k].push_back({m, h[k]});
-      lrow.push_back({k, h[k]});
-    }
-    lu_nnz_ += lrow.size() + 1;
-    lrows_.push_back(std::move(lrow));
-    lcols_.emplace_back();
-    ucols_.emplace_back();
-    urows_.emplace_back();
-    udiag_.push_back(1.0);
-    row_of_.push_back(m);
-    factor_of_row_.push_back(m);
-    col_order_.push_back(m);
-    basic_.push_back(slack_col);
+bool Basis::corrupt_last_eta(double factor) {
+  if (etas_.empty()) return false;
+  etas_.back().pivot *= factor;
+  return true;
+}
+
+void Basis::install_identity() {
+  const std::size_t m = basic_.size();
+  lcols_.assign(m, {});
+  lrows_.assign(m, {});
+  ucols_.assign(m, {});
+  urows_.assign(m, {});
+  udiag_.assign(m, 1.0);
+  row_of_.resize(m);
+  col_order_.resize(m);
+  factor_of_row_.resize(m);
+  std::iota(row_of_.begin(), row_of_.end(), std::size_t{0});
+  std::iota(col_order_.begin(), col_order_.end(), std::size_t{0});
+  std::iota(factor_of_row_.begin(), factor_of_row_.end(), std::size_t{0});
+  etas_.clear();
+  eta_nnz_ = 0;
+  lu_nnz_ = m;
+}
+
+/// L then U solve plus the eta file, input/output in factor/position space.
+std::vector<double> Basis::ftran_factor_space(std::vector<double> z) const {
+  const std::size_t m = basic_.size();
+  // L z' = z, forward scatter: zero intermediates skip their column.
+  for (std::size_t k = 0; k < m; ++k) {
+    const double zk = z[k];
+    if (zk == 0.0) continue;
+    for (const Entry& e : lcols_[k]) z[e.idx] -= e.value * zk;
   }
-
-  bool delete_rows(const std::vector<std::size_t>& positions,
-                   const std::vector<std::size_t>& /*rows*/,
-                   const std::vector<std::size_t>& col_remap) override {
-    // The vertex survives deletion (the dropped rows carried basic unit
-    // columns), but patching a permuted sparse LU in place does not pay:
-    // shrink the basic set and tell the caller to refactorise — a fresh
-    // sparse factorisation of the reduced basis is O(fill), which is the
-    // point of this representation.
-    delete_basic_positions(positions, col_remap);
-    install_identity();
-    return false;
+  // U y = z', backward scatter.
+  for (std::size_t k = m; k-- > 0;) {
+    if (z[k] == 0.0) continue;
+    const double yk = z[k] / udiag_[k];
+    z[k] = yk;
+    for (const Entry& e : ucols_[k]) z[e.idx] -= e.value * yk;
   }
-
-  std::size_t factor_entries() const override {
-    return lu_nnz_ + eta_nnz_;
+  // Back to basis positions, then the eta file in chronological order.
+  std::vector<double> w(m, 0.0);
+  for (std::size_t k = 0; k < m; ++k) w[col_order_[k]] = z[k];
+  for (const Eta& eta : etas_) {
+    // (E^-1 w)_pos = w_pos / pivot; the off-pivot entries shed that much.
+    const double wp = w[eta.pos] / eta.pivot;
+    w[eta.pos] = wp;
+    if (wp == 0.0) continue;
+    for (const Entry& e : eta.others) w[e.idx] -= e.value * wp;
   }
+  return w;
+}
 
-  const std::vector<std::pair<std::size_t, std::size_t>>& deficiency() const override {
-    return deficiency_;
+/// Eta transposes (reverse order) then U^T, L^T solves; input in basis
+/// position space, output in constraint-row space.
+std::vector<double> Basis::btran_position_space(std::vector<double> c) const {
+  const std::size_t m = basic_.size();
+  apply_eta_transposes(c);
+  std::vector<double> g(m, 0.0);
+  for (std::size_t k = 0; k < m; ++k) g[k] = c[col_order_[k]];
+  solve_ut(g, m);
+  // L^T v = z, backward scatter over L rows.
+  for (std::size_t i = m; i-- > 0;) {
+    const double vi = g[i];
+    if (vi == 0.0) continue;
+    for (const Entry& e : lrows_[i]) g[e.idx] -= e.value * vi;
   }
+  std::vector<double> y(m, 0.0);
+  for (std::size_t k = 0; k < m; ++k) y[row_of_[k]] = g[k];
+  return y;
+}
 
-  bool corrupt_last_eta(double factor) override {
-    if (etas_.empty()) return false;
-    etas_.back().pivot *= factor;
-    return true;
+/// c <- E^-T c, applied for the whole eta file in reverse order.
+void Basis::apply_eta_transposes(std::vector<double>& c) const {
+  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+    double acc = c[it->pos];
+    for (const Entry& e : it->others) acc -= e.value * c[e.idx];
+    c[it->pos] = acc / it->pivot;
   }
+}
 
- private:
-  struct Entry {
-    std::size_t idx = 0;
-    double value = 0.0;
-  };
-  /// One product-form update: B_new = B_old * E with column `pos` of E equal
-  /// to the pivot's ftran column (stored split into the pivot element and the
-  /// off-pivot nonzeros, basis-position indexed).
-  struct Eta {
-    std::size_t pos = 0;
-    double pivot = 1.0;
-    std::vector<Entry> others;
-  };
-
-  void install_identity() {
-    const std::size_t m = basic_.size();
-    lcols_.assign(m, {});
-    lrows_.assign(m, {});
-    ucols_.assign(m, {});
-    urows_.assign(m, {});
-    udiag_.assign(m, 1.0);
-    row_of_.resize(m);
-    col_order_.resize(m);
-    factor_of_row_.resize(m);
-    std::iota(row_of_.begin(), row_of_.end(), std::size_t{0});
-    std::iota(col_order_.begin(), col_order_.end(), std::size_t{0});
-    std::iota(factor_of_row_.begin(), factor_of_row_.end(), std::size_t{0});
-    etas_.clear();
-    eta_nnz_ = 0;
-    lu_nnz_ = m;
+/// U^T z = g solved in place over the first `n` factor indices (forward
+/// scatter over U rows; zero intermediates skip their row).
+void Basis::solve_ut(std::vector<double>& g, std::size_t n) const {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double zj = g[j] / udiag_[j];
+    g[j] = zj;
+    if (zj == 0.0) continue;
+    for (const Entry& e : urows_[j]) g[e.idx] -= e.value * zj;
   }
+}
 
-  /// L then U solve plus the eta file, input/output in factor/position space.
-  std::vector<double> ftran_factor_space(std::vector<double> z) const {
-    const std::size_t m = basic_.size();
-    // L z' = z, forward scatter: zero intermediates skip their column.
-    for (std::size_t k = 0; k < m; ++k) {
-      const double zk = z[k];
-      if (zk == 0.0) continue;
-      for (const Entry& e : lcols_[k]) z[e.idx] -= e.value * zk;
-    }
-    // U y = z', backward scatter.
-    for (std::size_t k = m; k-- > 0;) {
-      if (z[k] == 0.0) continue;
-      const double yk = z[k] / udiag_[k];
-      z[k] = yk;
-      for (const Entry& e : ucols_[k]) z[e.idx] -= e.value * yk;
-    }
-    // Back to basis positions, then the eta file in chronological order.
-    std::vector<double> w(m, 0.0);
-    for (std::size_t k = 0; k < m; ++k) w[col_order_[k]] = z[k];
-    for (const Eta& eta : etas_) {
-      // (E^-1 w)_pos = w_pos / pivot; the off-pivot entries shed that much.
-      const double wp = w[eta.pos] / eta.pivot;
-      w[eta.pos] = wp;
-      if (wp == 0.0) continue;
-      for (const Entry& e : eta.others) w[e.idx] -= e.value * wp;
-    }
-    return w;
-  }
-
-  /// Eta transposes (reverse order) then U^T, L^T solves; input in basis
-  /// position space, output in constraint-row space.
-  std::vector<double> btran_position_space(std::vector<double> c) const {
-    const std::size_t m = basic_.size();
-    apply_eta_transposes(c);
-    std::vector<double> g(m, 0.0);
-    for (std::size_t k = 0; k < m; ++k) g[k] = c[col_order_[k]];
-    solve_ut(g, m);
-    // L^T v = z, backward scatter over L rows.
-    for (std::size_t i = m; i-- > 0;) {
-      const double vi = g[i];
-      if (vi == 0.0) continue;
-      for (const Entry& e : lrows_[i]) g[e.idx] -= e.value * vi;
-    }
-    std::vector<double> y(m, 0.0);
-    for (std::size_t k = 0; k < m; ++k) y[row_of_[k]] = g[k];
-    return y;
-  }
-
-  /// c <- E^-T c, applied for the whole eta file in reverse order.
-  void apply_eta_transposes(std::vector<double>& c) const {
-    for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-      double acc = c[it->pos];
-      for (const Entry& e : it->others) acc -= e.value * c[e.idx];
-      c[it->pos] = acc / it->pivot;
-    }
-  }
-
-  /// U^T z = g solved in place over the first `n` factor indices (forward
-  /// scatter over U rows; zero intermediates skip their row).
-  void solve_ut(std::vector<double>& g, std::size_t n) const {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double zj = g[j] / udiag_[j];
-      g[j] = zj;
-      if (zj == 0.0) continue;
-      for (const Entry& e : urows_[j]) g[e.idx] -= e.value * zj;
-    }
-  }
-
-  // LU factors in factor space: position k of the factorisation eliminates
-  // original constraint row row_of_[k] using basis position col_order_[k].
-  // lcols_[k] holds the below-diagonal column k of L (unit diagonal implied),
-  // ucols_[k] the above-diagonal column k of U, udiag_[k] its diagonal;
-  // lrows_/urows_ are the row-major mirrors used by the transposed solves.
-  std::vector<std::vector<Entry>> lcols_, lrows_, ucols_, urows_;
-  std::vector<double> udiag_;
-  std::vector<std::size_t> row_of_;         // factor index -> original row
-  std::vector<std::size_t> factor_of_row_;  // original row -> factor index
-  std::vector<std::size_t> col_order_;      // factor index -> basis position
-  std::vector<Eta> etas_;
-  std::vector<std::pair<std::size_t, std::size_t>> deficiency_;
-  std::size_t eta_nnz_ = 0;
-  std::size_t lu_nnz_ = 0;
-};
-
-bool FactoredLuBasis::refactor(const SparseMatrix& columns) {
+bool Basis::refactor(const SparseMatrix& columns) {
   const std::size_t m = basic_.size();
   if (m == 0) {
     install_identity();
-    pivots_since_refactor_ = 0;
     return true;
   }
 
@@ -695,75 +397,7 @@ bool FactoredLuBasis::refactor(const SparseMatrix& columns) {
   }
   etas_.clear();
   eta_nnz_ = 0;
-  pivots_since_refactor_ = 0;
   return true;
 }
-
-}  // namespace internal
-
-// ---------------------------------------------------------------------------
-// Basis: value-semantic forwarding handle.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::unique_ptr<internal::BasisImpl> make_impl(BasisKind kind) {
-  if (kind == BasisKind::kDense) return std::make_unique<internal::DenseBasis>();
-  return std::make_unique<internal::FactoredLuBasis>();
-}
-}  // namespace
-
-Basis::Basis(BasisKind kind) : impl_(make_impl(kind)) {}
-Basis::~Basis() = default;
-Basis::Basis(const Basis& other) : impl_(other.impl_->clone()) {}
-Basis& Basis::operator=(const Basis& other) {
-  if (this != &other) impl_ = other.impl_->clone();
-  return *this;
-}
-Basis::Basis(Basis&&) noexcept = default;
-Basis& Basis::operator=(Basis&&) noexcept = default;
-
-BasisKind Basis::kind() const { return impl_->kind(); }
-std::size_t Basis::size() const { return impl_->size(); }
-const std::vector<std::size_t>& Basis::basic() const { return impl_->basic(); }
-void Basis::set_basic(std::vector<std::size_t> basic) {
-  impl_->set_basic(std::move(basic));
-}
-bool Basis::refactor(const SparseMatrix& columns) { return impl_->refactor(columns); }
-bool Basis::refactor_due(std::size_t interval_floor, double fill_growth) const {
-  return impl_->refactor_due(interval_floor, fill_growth);
-}
-std::vector<double> Basis::ftran(const std::vector<double>& a) const {
-  return impl_->ftran(a);
-}
-std::vector<double> Basis::ftran(const std::vector<SparseEntry>& a) const {
-  return impl_->ftran(a);
-}
-std::vector<double> Basis::btran(const std::vector<double>& cb) const {
-  return impl_->btran(cb);
-}
-std::vector<double> Basis::btran_unit(std::size_t pos) const {
-  return impl_->btran_unit(pos);
-}
-void Basis::pivot(std::size_t leave_row, std::size_t enter_col,
-                  const std::vector<double>& ftran_col) {
-  impl_->pivot(leave_row, enter_col, ftran_col);
-}
-void Basis::append_row(const std::vector<double>& row_basic_coeffs,
-                       std::size_t slack_col) {
-  impl_->append_row(row_basic_coeffs, slack_col);
-}
-bool Basis::delete_rows(const std::vector<std::size_t>& positions,
-                        const std::vector<std::size_t>& rows,
-                        const std::vector<std::size_t>& col_remap) {
-  return impl_->delete_rows(positions, rows, col_remap);
-}
-std::size_t Basis::pivots_since_refactor() const {
-  return impl_->pivots_since_refactor();
-}
-std::size_t Basis::factor_entries() const { return impl_->factor_entries(); }
-const std::vector<std::pair<std::size_t, std::size_t>>& Basis::deficiency() const {
-  return impl_->deficiency();
-}
-bool Basis::corrupt_last_eta(double factor) { return impl_->corrupt_last_eta(factor); }
 
 }  // namespace oef::solver

@@ -20,7 +20,6 @@ void LpSolverStats::merge(const LpSolverStats& other) {
   cold_solves += other.cold_solves;
   warm_resolves += other.warm_resolves;
   warm_start_hits += other.warm_start_hits;
-  dense_fallbacks += other.dense_fallbacks;
   tableau_fallbacks += other.tableau_fallbacks;
   basis_repairs += other.basis_repairs;
   total_iterations += other.total_iterations;
@@ -50,8 +49,7 @@ double seconds_since(double start) { return common::monotonic_seconds() - start;
 // either bound and lets the entering column flip bounds without a basis
 // change, and the dual ratio test prices both directions. The constraint
 // matrix is stored column-sparse (SparseMatrix); every pricing pass iterates
-// nonzeros only unless SolverOptions::sparse_pricing is off, which keeps the
-// dense row sweeps as a benchmarking reference arm.
+// nonzeros only.
 class LpSolver::Core {
  public:
   void load(const LpModel& model, const SolverOptions& options);
@@ -123,13 +121,12 @@ class LpSolver::Core {
   }
 
  private:
-  void fill_column(std::size_t col, std::vector<double>& out) const;
-  /// B^-1 A_col via the sparse ftran (dense gather in the reference arm).
-  [[nodiscard]] std::vector<double> ftran_column(std::size_t col,
-                                                 std::vector<double>& scratch) const;
+  /// B^-1 A_col via the sparse ftran.
+  [[nodiscard]] std::vector<double> ftran_column(std::size_t col) const {
+    return basis_.ftran(cols_.column(col));
+  }
   /// out[j] += factor * (v · A_j) for every column j: the shared kernel of
-  /// reduced-cost and pivot-row pricing. Sparse mode iterates CSC nonzeros;
-  /// dense mode sweeps the row-major reference copy.
+  /// reduced-cost and pivot-row pricing, over CSC nonzeros.
   void accumulate_vt_a(const std::vector<double>& v, double factor,
                        std::vector<double>& out) const;
   [[nodiscard]] bool refactor();
@@ -154,8 +151,7 @@ class LpSolver::Core {
   // Structural-column metadata (a StandardForm with rows cleared).
   internal::StandardForm skel_;
   SparseMatrix cols_;  // constraint matrix, one sparse column per variable
-  std::vector<std::vector<double>> dense_rows_;  // reference arm only (sparse_ off)
-  std::vector<Relation> relations_;              // normalised, per row
+  std::vector<Relation> relations_;  // normalised, per row
   std::vector<internal::RowRef> row_refs_;
   // Per row: the unit (slack/surplus/artificial) column ids created for it —
   // the columns that must go with the row on warm deletion.
@@ -176,8 +172,6 @@ class LpSolver::Core {
   bool any_artificial_ = false;
   bool perturbed_ = false;
   bool scaling_ = false;
-  bool sparse_ = true;
-  bool devex_ = true;
 
   // Devex reference weights: per column for the primal entering choice, per
   // row for the dual leaving-row choice. Reset to 1 at each phase entry.
@@ -199,8 +193,6 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   internal::StandardForm sf =
       internal::build_standard_form(model, /*native_upper_bounds=*/true);
   scaling_ = options.enable_scaling;
-  sparse_ = options.sparse_pricing;
-  devex_ = options.pricing == PricingRule::kDevex;
   if (scaling_) {
     internal::equilibrate(sf, row_scale_, col_scale_);
   } else {
@@ -232,21 +224,12 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   at_upper_.assign(num_cols_, 0);
   num_at_upper_ = 0;
 
-  // Constraint matrix: column-sparse always (refactorisation and ftran
-  // columns come from here); the dense row copy only exists for the
-  // dense-pricing reference arm.
+  // Constraint matrix, column-sparse: pricing, refactorisation and ftran
+  // columns all come from here.
   cols_.reset(m_);
   for (std::size_t j = 0; j < num_cols_; ++j) cols_.add_column();
   for (std::size_t j = 0; j < n_struct_; ++j) {
     for (std::size_t i = 0; i < m_; ++i) cols_.add_entry(j, i, sf.rows[i][j]);
-  }
-  if (!sparse_) {
-    dense_rows_.assign(m_, std::vector<double>(num_cols_, 0.0));
-    for (std::size_t i = 0; i < m_; ++i) {
-      std::copy(sf.rows[i].begin(), sf.rows[i].end(), dense_rows_[i].begin());
-    }
-  } else {
-    dense_rows_.clear();
   }
 
   std::vector<std::size_t> initial_basis(m_);
@@ -256,7 +239,6 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   for (std::size_t i = 0; i < m_; ++i) {
     const auto set_unit = [&](std::size_t col, double value) {
       cols_.add_entry(col, i, value);
-      if (!sparse_) dense_rows_[i][col] = value;
       row_units_[i].push_back(col);
     };
     switch (sf.relations[i]) {
@@ -305,7 +287,6 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   skel_.relations.clear();
   skel_.row_refs.clear();
 
-  basis_ = Basis(options.basis_kind);
   basis_.set_basic(std::move(initial_basis));
   for (const std::size_t j : basis_.basic()) in_basis_[j] = 1;
   xb_ = b_;
@@ -319,31 +300,11 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   injector_ = options.fault_injector;
 }
 
-void LpSolver::Core::fill_column(std::size_t col, std::vector<double>& out) const {
-  cols_.gather_column(col, out);
-}
-
-std::vector<double> LpSolver::Core::ftran_column(std::size_t col,
-                                                 std::vector<double>& scratch) const {
-  if (sparse_) return basis_.ftran(cols_.column(col));
-  fill_column(col, scratch);
-  return basis_.ftran(scratch);
-}
-
 void LpSolver::Core::accumulate_vt_a(const std::vector<double>& v, double factor,
                                      std::vector<double>& out) const {
-  if (sparse_) {
-    for (std::size_t j = 0; j < num_cols_; ++j) {
-      const double acc = cols_.dot_column(j, v);
-      if (acc != 0.0) out[j] += factor * acc;
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < m_; ++i) {
-    const double vi = factor * v[i];
-    if (vi == 0.0) continue;
-    const std::vector<double>& row = dense_rows_[i];
-    for (std::size_t j = 0; j < num_cols_; ++j) out[j] += vi * row[j];
+  for (std::size_t j = 0; j < num_cols_; ++j) {
+    const double acc = cols_.dot_column(j, v);
+    if (acc != 0.0) out[j] += factor * acc;
   }
 }
 
@@ -380,8 +341,7 @@ bool LpSolver::Core::refactor() {
   // with a unit (slack/artificial) column of its uncovered row — which
   // restores structural nonsingularity — and refactorise again; the evicted
   // columns become nonbasic at lower bound and the caller's refresh/phase
-  // logic re-establishes the vertex. The dense representation reports no
-  // deficiency, keeping the reference arm's behaviour unchanged.
+  // logic re-establishes the vertex.
   for (int attempt = 0; attempt < 3; ++attempt) {
     const auto& deficiency = basis_.deficiency();
     if (deficiency.empty()) return false;
@@ -413,13 +373,10 @@ bool LpSolver::Core::refactor() {
 }
 
 bool LpSolver::Core::refactor_if_due(const SolverOptions& options) {
-  // The trigger policy lives in the basis representation: the dense B^-1
-  // refactorises every max(refactor_interval, m) pivots (amortising the
-  // O(m^3) rebuild against O(m^2) updates), the factored LU when its eta
-  // file outgrows the fresh factor (length or fill). Drift between
-  // refactorisations is bounded by the dual path's alpha/ftran agreement
-  // check and the final is_feasible verification (which falls back to the
-  // tableau on failure).
+  // The basis refactorises when its eta file outgrows the fresh factor
+  // (length or fill). Drift between refactorisations is bounded by the dual
+  // path's alpha/ftran agreement check and the final is_feasible
+  // verification (which falls back to the tableau on failure).
   if (!basis_.refactor_due(options.refactor_interval, options.refactor_fill_growth)) {
     return true;
   }
@@ -491,25 +448,14 @@ void LpSolver::Core::update_primal_devex(const std::vector<double>& rho, std::si
   const double gq = primal_weights_[enter];
   const double inv2 = 1.0 / (pivot_alpha * pivot_alpha);
   double biggest = 1.0;
-  if (sparse_) {
-    for (std::size_t j = 0; j < num_cols_; ++j) {
-      if (in_basis_[j] || j == leaving_col) continue;
-      const double alpha = cols_.dot_column(j, rho);
-      if (alpha != 0.0) {
-        const double candidate = alpha * alpha * inv2 * gq;
-        if (candidate > primal_weights_[j]) primal_weights_[j] = candidate;
-      }
-      biggest = std::max(biggest, primal_weights_[j]);
-    }
-  } else {
-    std::vector<double> alpha(num_cols_, 0.0);
-    accumulate_vt_a(rho, 1.0, alpha);
-    for (std::size_t j = 0; j < num_cols_; ++j) {
-      if (in_basis_[j] || j == leaving_col) continue;
-      const double candidate = alpha[j] * alpha[j] * inv2 * gq;
+  for (std::size_t j = 0; j < num_cols_; ++j) {
+    if (in_basis_[j] || j == leaving_col) continue;
+    const double alpha = cols_.dot_column(j, rho);
+    if (alpha != 0.0) {
+      const double candidate = alpha * alpha * inv2 * gq;
       if (candidate > primal_weights_[j]) primal_weights_[j] = candidate;
-      biggest = std::max(biggest, primal_weights_[j]);
     }
+    biggest = std::max(biggest, primal_weights_[j]);
   }
   primal_weights_[leaving_col] = std::max(gq * inv2, 1.0);
   if (biggest > kDevexReset) {
@@ -540,8 +486,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
   std::size_t stall = 0;
   bool bland = false;
   double last_objective = phase_objective(phase1);
-  std::vector<double> col(m_);
-  if (devex_) std::fill(primal_weights_.begin(), primal_weights_.end(), 1.0);
+  std::fill(primal_weights_.begin(), primal_weights_.end(), 1.0);
   while (true) {
     if (iterations_ >= max_iterations_) return SolveStatus::kIterationLimit;
     if (!refactor_if_due(options)) return SolveStatus::kIterationLimit;
@@ -551,7 +496,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
 
     // Entering column and direction: a column at its lower bound enters
     // upward on d < 0, a column at its upper bound enters downward on d > 0.
-    // Devex scores d^2 / weight, Dantzig |d|, Bland first eligible.
+    // Devex scores d^2 / weight; under Bland the first eligible column wins.
     // Artificials may re-enter only in phase 1.
     std::size_t enter = SIZE_MAX;
     double dir = 1.0;
@@ -568,8 +513,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
       } else {
         continue;
       }
-      const double score =
-          (devex_ && !bland) ? dj * dj / primal_weights_[j] : std::abs(dj);
+      const double score = bland ? std::abs(dj) : dj * dj / primal_weights_[j];
       if (enter == SIZE_MAX || score > best_score) {
         best_score = score;
         enter = j;
@@ -579,7 +523,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
     }
     if (enter == SIZE_MAX) return SolveStatus::kOptimal;
 
-    const std::vector<double> w = ftran_column(enter, col);
+    const std::vector<double> w = ftran_column(enter);
 
     // Bounded ratio test: a basic variable may block by reaching its lower
     // bound (direction-adjusted coefficient > 0) or its finite upper bound
@@ -655,7 +599,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
       if (phase1) ++phase1_iterations_;
     } else {
       std::vector<double> rho;
-      if (devex_ && !bland) rho = basis_.btran_unit(leave);  // pre-pivot copy
+      if (!bland) rho = basis_.btran_unit(leave);  // pre-pivot copy
       const double t = best_ratio;
       for (std::size_t i = 0; i < m_; ++i) {
         if (i != leave) xb_[i] -= t * dir * w[i];
@@ -670,7 +614,7 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
       maybe_corrupt_eta();
       ++iterations_;
       if (phase1) ++phase1_iterations_;
-      if (devex_ && !bland) update_primal_devex(rho, enter, leaving_col, w[leave]);
+      if (!bland) update_primal_devex(rho, enter, leaving_col, w[leave]);
     }
 
     const double objective = phase_objective(phase1);
@@ -689,18 +633,16 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
   std::size_t stall = 0;
   bool bland = false;
   double last_infeasibility = std::numeric_limits<double>::infinity();
-  std::vector<double> col(m_);
-  if (devex_) std::fill(dual_weights_.begin(), dual_weights_.end(), 1.0);
+  std::fill(dual_weights_.begin(), dual_weights_.end(), 1.0);
   while (true) {
     if (iterations_ >= max_iterations_) return SolveStatus::kIterationLimit;
     if (!refactor_if_due(options)) return SolveStatus::kIterationLimit;
 
     // Leaving row: a basic variable below its lower bound (leaves at lower)
     // or above its finite upper bound (leaves at upper). Devex scores
-    // violation^2 / weight, Dantzig the raw violation, Bland the first
-    // violating row. The infeasibility sum always covers every row — it
-    // feeds the stall detector, which must not flap just because Bland
-    // picked an early row.
+    // violation^2 / weight; Bland takes the first violating row. The
+    // infeasibility sum always covers every row — it feeds the stall
+    // detector, which must not flap just because Bland picked an early row.
     const auto& basic = basis_.basic();
     std::size_t leave = SIZE_MAX;
     bool above = false;
@@ -726,7 +668,7 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
         first_violating = i;
         first_above = is_above;
       }
-      const double score = (devex_ && !bland) ? delta * delta / dual_weights_[i] : delta;
+      const double score = bland ? delta : delta * delta / dual_weights_[i];
       if (leave == SIZE_MAX || score > best_score) {
         best_score = score;
         leave = i;
@@ -789,7 +731,7 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
     if (enter == SIZE_MAX) enter = pick_entering(tol);
     if (enter == SIZE_MAX) return SolveStatus::kInfeasible;
 
-    const std::vector<double> w = ftran_column(enter, col);
+    const std::vector<double> w = ftran_column(enter);
     if (std::abs(w[leave]) < tol) {
       // Numerical disagreement between alpha and the ftran column; refactor
       // and retry, giving up if it persists.
@@ -812,7 +754,7 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
     in_basis_[enter] = 1;
     set_at_upper(enter, false);
     set_at_upper(leaving_col, above);
-    if (devex_ && !bland) update_dual_devex(w, leave);
+    if (!bland) update_dual_devex(w, leave);
     basis_.pivot(leave, enter, w);
     maybe_corrupt_eta();
     ++iterations_;
@@ -830,7 +772,6 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
 
 void LpSolver::Core::drive_out_artificials() {
   const auto& basic = basis_.basic();
-  std::vector<double> col(m_);
   for (std::size_t i = 0; i < m_; ++i) {
     if (!artificial_[basic[i]]) continue;
     const std::vector<double> rho = basis_.btran_unit(i);
@@ -847,7 +788,7 @@ void LpSolver::Core::drive_out_artificials() {
       }
     }
     if (enter == SIZE_MAX) continue;  // redundant row; artificial stays ~0
-    const std::vector<double> w = ftran_column(enter, col);
+    const std::vector<double> w = ftran_column(enter);
     if (std::abs(w[i]) < 1e-10) continue;
     const double t = xb_[i] / w[i];
     for (std::size_t r = 0; r < m_; ++r) {
@@ -987,10 +928,6 @@ void LpSolver::Core::append_row(const internal::StandardRow& row,
   for (std::size_t j = 0; j < n_struct_; ++j) cols_.add_entry(j, m_, coeffs[j]);
   cols_.add_column();
   cols_.add_entry(slack_col, m_, 1.0);
-  if (!sparse_) {
-    for (auto& r : dense_rows_) r.push_back(0.0);
-    dense_rows_.push_back(coeffs);
-  }
   cost_.push_back(0.0);
   upper_.push_back(kInf);
   artificial_.push_back(0);
@@ -1062,7 +999,7 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
     if (!drop_row[i]) row_remap[i] = new_rows++;
   }
 
-  const bool basis_valid = basis_.delete_rows(positions, rows, col_remap);
+  basis_.delete_rows(positions, col_remap);
 
   // Renumber the constraint matrix and every per-row / per-column array.
   SparseMatrix reduced;
@@ -1075,16 +1012,6 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
     }
   }
   cols_ = std::move(reduced);
-  if (!sparse_) {
-    std::vector<std::vector<double>> dense(new_rows, std::vector<double>(new_cols, 0.0));
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (drop_row[i]) continue;
-      for (std::size_t j = 0; j < num_cols_; ++j) {
-        if (!drop_col[j]) dense[row_remap[i]][col_remap[j]] = dense_rows_[i][j];
-      }
-    }
-    dense_rows_ = std::move(dense);
-  }
 
   const auto filter_rows = [&](auto& vec) {
     std::remove_reference_t<decltype(vec)> kept;
@@ -1150,11 +1077,10 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
   max_iterations_ = options.max_iterations != 0 ? options.max_iterations
                                                 : 200 * (m_ + num_cols_) + 10000;
 
-  // The dense inverse shrinks exactly; the factored basis asks for a fresh
-  // (cheap, sparse) factorisation of the reduced basis. Either way the
+  // A fresh (cheap, sparse) factorisation of the reduced basis; the
   // surviving basic values are recomputed from the reduced rhs — the vertex
   // itself is unchanged (the deleted rows carried basic slacks).
-  if (!basis_valid && !refactor()) return false;
+  if (!refactor()) return false;
   refresh_xb();
   return true;
 }
@@ -1300,49 +1226,30 @@ bool LpSolver::import_warm_state(const LpWarmState& state) {
 
 LpSolution LpSolver::solve_loaded_cold() {
   // Cold rungs of the degradation ladder. The caller already exhausted any
-  // warm option, so escalation is deterministic from here: (1) revised
-  // simplex with the configured basis representation; (2) if that was the
-  // factored LU, the same solve with the exact dense B^-1 (immune to eta
-  // drift and deficiency repair, at O(m^2) per pivot); (3) the reference
-  // full-tableau solver, which shares no basis machinery at all — and never
-  // consults the fault injector — so it terminates the ladder.
-  LpSolution solution;
-  const auto attempt = [&](const SolverOptions& options) -> std::unique_ptr<Core> {
-    auto core = std::make_unique<Core>();
-    core->load(model_, options);
-    solution = LpSolution{};
-    solution.status = core->run_cold(options);
-    stats_.total_iterations += core->iterations();
-    stats_.basis_repairs += core->take_basis_repairs();
-    if (solution.status == SolveStatus::kOptimal) {
-      core->extract(model_, solution);
-      if (model_.is_feasible(solution.values, 1e-6)) return core;
-    }
-    return nullptr;
-  };
-
+  // warm option, so escalation is deterministic from here: (1) the revised
+  // simplex (whose refactorisations repair deficient bases in place); (2)
+  // the reference full-tableau solver, which shares no basis machinery at
+  // all — and never consults the fault injector — so it terminates the
+  // ladder.
   ++stats_.cold_solves;
-  if (auto core = attempt(options_)) {
-    core_ = std::move(core);
-    incremental_ok_ = true;
-    return solution;
-  }
-  if (options_.basis_kind != BasisKind::kDense) {
-    common::log_debug("lp_solver: cold factored solve failed (" +
-                      to_string(solution.status) + "); retrying with the dense basis");
-    ++stats_.dense_fallbacks;
-    SolverOptions dense = options_;
-    dense.basis_kind = BasisKind::kDense;
-    if (auto core = attempt(dense)) {
+  auto core = std::make_unique<Core>();
+  core->load(model_, options_);
+  LpSolution solution;
+  solution.status = core->run_cold(options_);
+  stats_.total_iterations += core->iterations();
+  stats_.basis_repairs += core->take_basis_repairs();
+  if (solution.status == SolveStatus::kOptimal) {
+    core->extract(model_, solution);
+    if (model_.is_feasible(solution.values, 1e-6)) {
       core_ = std::move(core);
       incremental_ok_ = true;
       return solution;
     }
   }
-  // Every revised rung failed or produced an unverifiable point: reference
+  // The revised solve failed or produced an unverifiable point: reference
   // tableau. Dramatically slower on large models, so its trigger is worth a
-  // log line (to_string names the last revised outcome).
-  common::log_debug("lp_solver: revised ladder exhausted (" + to_string(solution.status) +
+  // log line (to_string names the revised outcome).
+  common::log_debug("lp_solver: revised cold solve failed (" + to_string(solution.status) +
                     "); falling back to the reference tableau");
   ++stats_.tableau_fallbacks;
   core_.reset();

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "solver/basis.h"
 #include "solver/lp_model.h"
 
 namespace oef::solver {
@@ -25,18 +24,11 @@ enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
 
 [[nodiscard]] std::string to_string(SolveStatus status);
 
-/// Which pivoting engine an LpSolver runs. The revised path supports warm
-/// starts (basis reuse across solves, add_rows + dual-simplex resolve); the
-/// tableau path is the battle-tested single-shot reference.
+/// Which pivoting engine an LpSolver runs. The revised path (factored LU
+/// basis, sparse devex pricing) supports warm starts (basis reuse across
+/// solves, add_rows + dual-simplex resolve); the tableau path is the
+/// independent single-shot reference and the degradation ladder's last rung.
 enum class LpAlgorithm { kRevised, kTableau };
-
-/// Pricing rule of the revised engine (the tableau reference is always
-/// Dantzig). kDevex maintains approximate steepest-edge reference weights for
-/// both the primal entering choice and the dual leaving-row choice, which
-/// sharply cuts pivot counts on the degenerate envy/equality LPs; kDantzig
-/// (most negative reduced cost / most violated row) is kept as the reference
-/// rule. Stalling switches either rule to Bland's.
-enum class PricingRule { kDantzig, kDevex };
 
 struct SolverOptions {
   /// Feasibility / pricing tolerance.
@@ -52,26 +44,13 @@ struct SolverOptions {
   /// Allow LpSolver::solve to reuse the previous optimal basis when the new
   /// model has the same shape (rows, columns, relations) as the last one.
   bool warm_start = true;
-  /// Basis representation of the revised engine. kFactoredLu (default) keeps
-  /// a sparse LU of B with a product-form eta file — O(nnz) solves and
-  /// updates, which is what scales the row-generation LPs past m ~ 10^4.
-  /// kDense keeps the explicit dense B^-1 of PR 2 as the pivot-identical
-  /// reference arm (O(m^2) per pivot).
-  BasisKind basis_kind = BasisKind::kFactoredLu;
-  /// Revised simplex refactorisation floor. Dense basis: minimum pivots
-  /// between refactorisations (the effective interval is max(this, m)).
-  /// Factored basis: cap on the eta-file length (see refactor_fill_growth).
+  /// Revised engine: cap on the eta-file length — the basis is refactorised
+  /// once this many pivots have accumulated since the last factorisation.
   std::size_t refactor_interval = 64;
-  /// Factored basis only: refactorise when the eta file's nonzeros exceed
-  /// this multiple of the fresh LU factor's nonzeros (+ m), i.e. when
-  /// accumulated updates erode the sparse-solve advantage.
+  /// Revised engine: refactorise when the eta file's nonzeros exceed this
+  /// multiple of the fresh LU factor's nonzeros (+ m), i.e. when accumulated
+  /// updates erode the sparse-solve advantage.
   double refactor_fill_growth = 2.0;
-  /// Pricing rule of the revised engine.
-  PricingRule pricing = PricingRule::kDevex;
-  /// Revised engine: iterate constraint-matrix nonzeros (CSC columns) in the
-  /// pricing passes instead of dense rows. Identical pivots and results —
-  /// false keeps the dense reference arm for benchmarking.
-  bool sparse_pricing = true;
   /// Deterministic fault injection (see fault_injector.h). Non-owning: the
   /// injector must outlive every solver carrying these options. nullptr (the
   /// default) disables injection entirely. The tableau reference path never

@@ -9,8 +9,8 @@
 // what the incremental-resolve path needs: add_rows() appends one constraint
 // row (touching only its nonzero columns) plus one fresh slack column.
 //
-// DenseMatrix remains the right choice for B^-1 itself (the basis inverse
-// fills in); this structure covers the fixed constraint matrix A only.
+// This structure covers the constraint matrix A only; the basis B is held
+// as a sparse LU factorisation plus eta file (basis.h).
 #pragma once
 
 #include <cstddef>
@@ -51,9 +51,6 @@ class SparseMatrix {
   [[nodiscard]] const std::vector<SparseEntry>& column(std::size_t col) const {
     return columns_[col];
   }
-
-  /// Scatters column `col` into a dense vector of size rows() (zero-filled).
-  void gather_column(std::size_t col, std::vector<double>& out) const;
 
   /// Dot product of column `col` with a dense vector of size rows().
   [[nodiscard]] double dot_column(std::size_t col, const std::vector<double>& x) const;

@@ -16,6 +16,8 @@
 #include "sim/engine.h"
 #include "sim/events.h"
 #include "solver/fault_injector.h"
+#include "solver/lp_solver.h"
+#include "solver/simplex.h"
 #include "workload/gpu_catalog.h"
 #include "workload/trace.h"
 
@@ -125,9 +127,7 @@ TEST(SimChurn, FailureHeavyRunServesEveryRoundWithinSurvivingCapacity) {
   // The injected basis faults must have engaged the repair/ladder machinery
   // without aborting the process (reaching this line is the abort check).
   const sched::SchedulerTelemetry& telemetry = result.scheduler_telemetry;
-  EXPECT_GT(telemetry.lp_basis_repairs + telemetry.lp_dense_fallbacks +
-                telemetry.lp_tableau_fallbacks,
-            0u);
+  EXPECT_GT(telemetry.lp_basis_repairs + telemetry.lp_tableau_fallbacks, 0u);
 
   // Bit-identical on a second run: churn + fault injection are seeded.
   const SimResult again =
@@ -215,7 +215,60 @@ TEST(SimChurn, InjectedFaultsEngageTheLadderWithoutAborting) {
   EXPECT_GT(injector.stats().basis_faults + injector.stats().eta_corruptions, 0u);
   // ...and the solver answered with repairs and/or ladder rungs, not aborts.
   const solver::LpSolverStats stats = allocator.solver_stats();
-  EXPECT_GT(stats.basis_repairs + stats.dense_fallbacks + stats.tableau_fallbacks, 0u);
+  EXPECT_GT(stats.basis_repairs + stats.tableau_fallbacks, 0u);
+}
+
+TEST(SimChurn, FailedColdRevisedSolveIsAnsweredByTheTableau) {
+  // The ladder's last solver rung. Corrupting every new eta makes the
+  // revised simplex's ftran/btran disagree with the true basis, so its cold
+  // solve ends without a verified optimum; the reference tableau, which never
+  // consults the injector, must then answer with the optimum of an uninjected
+  // solve and be counted. (A corrupted run can also stop at a feasible but
+  // suboptimal vertex that passes the feasibility gate — a known gap tracked
+  // in the ROADMAP — so only the trials that reached the tableau are checked
+  // here, and most must reach it.)
+  common::Rng rng(77);
+  int fallbacks = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t nvars = 6 + static_cast<std::size_t>(trial % 5);
+    solver::LpModel model(solver::Sense::kMaximize);
+    for (std::size_t v = 0; v < nvars; ++v) {
+      model.add_variable("v", 0.0, solver::kInf, rng.uniform(0.5, 3.0));
+    }
+    for (std::size_t r = 0; r < 8; ++r) {
+      solver::LinearExpr expr;
+      for (std::size_t v = 0; v < nvars; ++v) {
+        if (rng.uniform() < 0.7) expr.add(v, rng.uniform(0.1, 2.0));
+      }
+      model.add_constraint(std::move(expr), solver::Relation::kLessEqual,
+                           rng.uniform(2.0, 12.0));
+    }
+    // The independent reference: the same revised simplex without faults.
+    const solver::LpSolution reference = solver::LpSolver().solve(model);
+    ASSERT_TRUE(reference.optimal()) << "trial " << trial;
+
+    solver::FaultInjectorConfig config;
+    config.seed = 5;
+    config.eta_corruption_rate = 1.0;
+    solver::FaultInjector injector(config);
+    solver::SolverOptions options;
+    options.fault_injector = &injector;
+    solver::LpSolver lp(options);
+    const solver::LpSolution solution = lp.solve(model);
+    EXPECT_GT(injector.stats().eta_corruptions, 0u) << "trial " << trial;
+    EXPECT_EQ(lp.stats().cold_solves, 1u) << "trial " << trial;
+    if (lp.stats().tableau_fallbacks == 0) continue;
+    ++fallbacks;
+    EXPECT_EQ(lp.stats().tableau_fallbacks, 1u) << "trial " << trial;
+    ASSERT_TRUE(solution.optimal()) << "trial " << trial;
+    EXPECT_NEAR(solution.objective, reference.objective,
+                1e-9 * (1.0 + std::abs(reference.objective)))
+        << "trial " << trial;
+    EXPECT_TRUE(model.is_feasible(solution.values, 1e-6)) << "trial " << trial;
+    EXPECT_FALSE(lp.has_basis()) << "the tableau leaves no warm basis (trial " << trial
+                                 << ")";
+  }
+  EXPECT_GE(fallbacks, 15);
 }
 
 TEST(SimChurn, DeadlineExpiryServesDegradedButFeasible) {

@@ -1,13 +1,13 @@
-// Factored (sparse LU + eta file) basis vs the dense B^-1 reference.
+// Factored (sparse LU + eta file) basis.
 //
-// The two representations behind SolverOptions::basis_kind must be
-// observationally equivalent: identical ftran/btran/btran_unit results on the
-// same basis (fresh, after eta-accumulating pivots, and after bordered row
-// appends), a refactorisation that changes nothing but the representation,
-// and warm row deletion that matches a cold factorisation of the reduced
-// basis. On top of the unit-level agreement, whole solves under both basis
-// kinds (and the independent tableau) must reach the same optimum, and the
-// lazy-loop relaxation compaction must take the warm-deletion path.
+// Every solve the basis exposes is checked by its residual against B itself,
+// assembled from the SparseMatrix columns the basic set selects:
+// ‖B ftran(a) − a‖∞, ‖btran(c)ᵀB − cᵀ‖∞ and btran_unit(pos)ᵀB == e_posᵀ —
+// after fresh factorisations, eta-accumulating pivots, bordered row appends
+// and warm row deletions. A refactorisation must change nothing but the
+// representation. On top of the unit-level checks, whole solves must reach
+// the independent tableau's optimum, and the lazy-loop relaxation compaction
+// must take the warm-deletion path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -94,30 +94,123 @@ void expect_close(const std::vector<double>& a, const std::vector<double>& b,
   }
 }
 
-/// Solves against both representations and compares every exposed product.
-void expect_bases_agree(const Basis& dense, const Basis& lu, const SparseMatrix& a,
-                        common::Rng& rng) {
-  const std::size_t m = dense.size();
+double max_abs(const std::vector<double>& v) {
+  double biggest = 0.0;
+  for (const double x : v) biggest = std::max(biggest, std::abs(x));
+  return biggest;
+}
+
+/// B w, with B assembled from the columns of `a` that the basis selects.
+std::vector<double> times_b(const SparseMatrix& a, const std::vector<std::size_t>& basic,
+                            const std::vector<double>& w) {
+  std::vector<double> out(a.rows(), 0.0);
+  for (std::size_t p = 0; p < basic.size(); ++p) a.axpy_column(basic[p], w[p], out);
+  return out;
+}
+
+/// Independent singularity verdict: Gaussian elimination with partial
+/// pivoting on B assembled densely, at the factorisation's own 1e-12 pivot
+/// threshold.
+bool dense_singular(const SparseMatrix& a, const std::vector<std::size_t>& basic) {
+  const std::size_t m = basic.size();
+  std::vector<std::vector<double>> b(m, std::vector<double>(m, 0.0));
+  for (std::size_t p = 0; p < m; ++p) {
+    for (const SparseEntry& e : a.column(basic[p])) b[e.row][p] += e.value;
+  }
+  for (std::size_t c = 0; c < m; ++c) {
+    std::size_t pivot = c;
+    for (std::size_t r = c + 1; r < m; ++r) {
+      if (std::abs(b[r][c]) > std::abs(b[pivot][c])) pivot = r;
+    }
+    if (std::abs(b[pivot][c]) < 1e-12) return true;
+    std::swap(b[c], b[pivot]);
+    for (std::size_t r = c + 1; r < m; ++r) {
+      const double f = b[r][c] / b[c][c];
+      for (std::size_t k = c; k < m; ++k) b[r][k] -= f * b[c][k];
+    }
+  }
+  return false;
+}
+
+/// Residual checks of every exposed solve against B itself:
+/// ‖B ftran(r) − r‖∞ (dense and sparse right-hand sides), ‖btran(c)ᵀB − cᵀ‖∞
+/// and btran_unit(pos)ᵀB == e_posᵀ for every position.
+void expect_residuals_small(const Basis& basis, const SparseMatrix& a, common::Rng& rng,
+                            const char* label) {
+  const std::size_t m = basis.size();
+  ASSERT_EQ(a.rows(), m) << label;
+  const std::vector<std::size_t>& basic = basis.basic();
+
   std::vector<double> rhs(m);
   for (double& v : rhs) v = rng.uniform(-2.0, 2.0);
-  expect_close(lu.ftran(rhs), dense.ftran(rhs), "ftran dense rhs");
+  const std::vector<double> w = basis.ftran(rhs);
+  const std::vector<double> bw = times_b(a, basic, w);
+  for (std::size_t i = 0; i < m; ++i) {
+    EXPECT_NEAR(bw[i], rhs[i], kTol * (1.0 + max_abs(w))) << label << " ftran row " << i;
+  }
 
   const std::size_t col =
       static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(a.cols()) - 1));
-  expect_close(lu.ftran(a.column(col)), dense.ftran(a.column(col)), "ftran sparse rhs");
+  std::vector<double> dense_col(m, 0.0);
+  a.axpy_column(col, 1.0, dense_col);
+  const std::vector<double> ws = basis.ftran(a.column(col));
+  const std::vector<double> bws = times_b(a, basic, ws);
+  for (std::size_t i = 0; i < m; ++i) {
+    EXPECT_NEAR(bws[i], dense_col[i], kTol * (1.0 + max_abs(ws)))
+        << label << " sparse ftran row " << i;
+  }
 
   std::vector<double> cb(m, 0.0);
   for (double& v : cb) {
     if (rng.uniform() < 0.5) v = rng.uniform(-2.0, 2.0);  // mostly-zero, like c_B
   }
-  expect_close(lu.btran(cb), dense.btran(cb), "btran");
+  const std::vector<double> y = basis.btran(cb);
+  for (std::size_t p = 0; p < m; ++p) {
+    EXPECT_NEAR(a.dot_column(basic[p], y), cb[p], kTol * (1.0 + max_abs(y)))
+        << label << " btran position " << p;
+  }
 
-  const std::size_t pos =
-      static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(m) - 1));
-  expect_close(lu.btran_unit(pos), dense.btran_unit(pos), "btran_unit");
+  for (std::size_t pos = 0; pos < m; ++pos) {
+    const std::vector<double> rho = basis.btran_unit(pos);
+    for (std::size_t q = 0; q < m; ++q) {
+      EXPECT_NEAR(a.dot_column(basic[q], rho), q == pos ? 1.0 : 0.0,
+                  kTol * (1.0 + max_abs(rho)))
+          << label << " btran_unit(" << pos << ") position " << q;
+    }
+  }
 }
 
-TEST(FactoredBasis, MatchesDenseOnFreshFactorisations) {
+/// Pivots up to `count` random structural columns into the basis, each with
+/// a comfortably nonsingular pivot element and the basis's own ftran column
+/// (the contract in lp_solver.cpp). Returns the number of pivots made.
+int random_pivots(Basis& basis, const SparseMatrix& a, common::Rng& rng, std::size_t first,
+                  int count) {
+  std::vector<char> in_basis(a.cols(), 0);
+  for (const std::size_t j : basis.basic()) in_basis[j] = 1;
+  int done = 0;
+  for (int p = 0; p < count; ++p) {
+    const std::size_t enter = first + static_cast<std::size_t>(rng.uniform_int(
+                                          0, static_cast<std::int64_t>(a.cols() - first) - 1));
+    if (in_basis[enter]) continue;
+    const std::vector<double> w = basis.ftran(a.column(enter));
+    std::size_t leave = SIZE_MAX;
+    double best = 0.2;
+    for (std::size_t i = 0; i < basis.size(); ++i) {
+      if (std::abs(w[i]) > best) {
+        best = std::abs(w[i]);
+        leave = i;
+      }
+    }
+    if (leave == SIZE_MAX) continue;
+    in_basis[basis.basic()[leave]] = 0;
+    in_basis[enter] = 1;
+    basis.pivot(leave, enter, w);
+    ++done;
+  }
+  return done;
+}
+
+TEST(FactoredBasis, FreshFactorisationsSolveAgainstB) {
   common::Rng rng(20260731);
   int compared = 0;
   for (int trial = 0; trial < 40; ++trial) {
@@ -125,83 +218,61 @@ TEST(FactoredBasis, MatchesDenseOnFreshFactorisations) {
     const std::size_t extra = static_cast<std::size_t>(rng.uniform_int(1, 12));
     const SparseMatrix a = random_matrix(rng, m, extra);
     const std::vector<std::size_t> basic = random_basic(rng, a, m, extra);
-
-    Basis dense(BasisKind::kDense);
-    Basis lu(BasisKind::kFactoredLu);
-    dense.set_basic(basic);
+    Basis lu;
     lu.set_basic(basic);
-    const bool dense_ok = dense.refactor(a);
     const bool lu_ok = lu.refactor(a);
-    ASSERT_EQ(dense_ok, lu_ok) << "trial " << trial << ": singularity verdicts differ";
-    if (!dense_ok) continue;
+    ASSERT_EQ(lu_ok, !dense_singular(a, basic))
+        << "trial " << trial << ": singularity verdicts differ";
+    if (!lu_ok) {
+      // A singular draw must name the positions to repair.
+      EXPECT_FALSE(lu.deficiency().empty()) << "trial " << trial;
+      continue;
+    }
+    EXPECT_TRUE(lu.deficiency().empty()) << "trial " << trial;
     ++compared;
-    expect_bases_agree(dense, lu, a, rng);
+    expect_residuals_small(lu, a, rng, "fresh");
   }
   EXPECT_GE(compared, 25);  // the generator must produce real work
 }
 
-TEST(FactoredBasis, EtaUpdatesAndBorderedAppendsMatchDense) {
+TEST(FactoredBasis, EtaUpdatesAndBorderedAppendsKeepResidualsSmall) {
   common::Rng rng(411);
   int pivots_done = 0;
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t m = static_cast<std::size_t>(rng.uniform_int(3, 16));
     const std::size_t extra = static_cast<std::size_t>(rng.uniform_int(4, 12));
-    const SparseMatrix a = random_matrix(rng, m, extra);
+    SparseMatrix a = random_matrix(rng, m, extra);
     std::vector<std::size_t> basic(m);
     for (std::size_t i = 0; i < m; ++i) basic[i] = i;
-
-    Basis dense(BasisKind::kDense);
-    Basis lu(BasisKind::kFactoredLu);
-    dense.set_basic(basic);
+    Basis lu;
     lu.set_basic(basic);
-    ASSERT_TRUE(dense.refactor(a));
     ASSERT_TRUE(lu.refactor(a));
 
-    // A run of pivots: each basis computes its own ftran column (that is the
-    // contract in lp_solver.cpp), entering a structural column wherever the
-    // pivot element is safely nonzero.
-    std::vector<char> in_basis(a.cols(), 0);
-    for (const std::size_t j : basic) in_basis[j] = 1;
+    // A run of pivots, one eta each, checked after every pivot.
     for (int p = 0; p < 8; ++p) {
-      const std::size_t enter = m + static_cast<std::size_t>(rng.uniform_int(
-                                        0, static_cast<std::int64_t>(extra) - 1));
-      if (in_basis[enter]) continue;
-      const std::vector<double> wd = dense.ftran(a.column(enter));
-      const std::vector<double> wl = lu.ftran(a.column(enter));
-      std::size_t leave = SIZE_MAX;
-      double best = 0.2;  // comfortably nonsingular pivots only
-      for (std::size_t i = 0; i < dense.size(); ++i) {
-        if (std::abs(wd[i]) > best) {
-          best = std::abs(wd[i]);
-          leave = i;
-        }
-      }
-      if (leave == SIZE_MAX) continue;
-      in_basis[dense.basic()[leave]] = 0;
-      in_basis[enter] = 1;
-      dense.pivot(leave, enter, wd);
-      lu.pivot(leave, enter, wl);
-      ++pivots_done;
-      expect_bases_agree(dense, lu, a, rng);
+      const int done = random_pivots(lu, a, rng, m, 1);
+      if (done == 0) continue;
+      pivots_done += done;
+      expect_residuals_small(lu, a, rng, "after pivot");
     }
 
-    // Bordered append on top of the eta file, as add_rows() performs it.
-    std::vector<double> coeffs(dense.size(), 0.0);
+    // Bordered append on top of the eta file, as add_rows() performs it: the
+    // new row's coefficients on the basic columns, plus a basic unit slack.
+    std::vector<double> coeffs(lu.size(), 0.0);
     for (double& v : coeffs) {
       if (rng.uniform() < 0.4) v = rng.uniform(-2.0, 2.0);
     }
-    const std::size_t slack_col = a.cols();  // id unused by further solves
-    dense.append_row(coeffs, slack_col);
+    a.set_rows(m + 1);
+    for (std::size_t i = 0; i < lu.size(); ++i) a.add_entry(lu.basic()[i], m, coeffs[i]);
+    const std::size_t slack_col = a.add_column();
+    a.add_entry(slack_col, m, 1.0);
     lu.append_row(coeffs, slack_col);
-    ASSERT_EQ(dense.size(), lu.size());
-    std::vector<double> rhs(dense.size());
-    for (double& v : rhs) v = rng.uniform(-2.0, 2.0);
-    expect_close(lu.ftran(rhs), dense.ftran(rhs), "ftran after append");
-    std::vector<double> cb(dense.size(), 0.0);
-    for (double& v : cb) {
-      if (rng.uniform() < 0.5) v = rng.uniform(-2.0, 2.0);
-    }
-    expect_close(lu.btran(cb), dense.btran(cb), "btran after append");
+    ASSERT_EQ(lu.size(), m + 1);
+    expect_residuals_small(lu, a, rng, "after append");
+
+    // Further pivots stack etas on the bordered factor.
+    pivots_done += random_pivots(lu, a, rng, m, 3);
+    expect_residuals_small(lu, a, rng, "after append + pivots");
   }
   EXPECT_GE(pivots_done, 40);
 }
@@ -213,16 +284,15 @@ TEST(FactoredBasis, RefactorTriggerTracksEtaFileAndResetsIt) {
   const SparseMatrix a = random_matrix(rng, m, extra);
   std::vector<std::size_t> basic(m);
   for (std::size_t i = 0; i < m; ++i) basic[i] = i;
-  Basis lu(BasisKind::kFactoredLu);
+  Basis lu;
   lu.set_basic(basic);
   ASSERT_TRUE(lu.refactor(a));
 
   // Fresh factor: not due under any reasonable policy.
-  EXPECT_FALSE(lu.refactor_due(/*interval_floor=*/4, /*fill_growth=*/2.0));
+  EXPECT_FALSE(lu.refactor_due(/*eta_cap=*/4, /*fill_growth=*/2.0));
 
-  // Accumulate etas until the length trigger fires. The floor is 4, so at
-  // most 4 pivots are needed; the dense pivot-count rule would not fire until
-  // max(4, m) = 12.
+  // Accumulate etas until the length trigger fires: the cap is 4, well below
+  // m = 12, so the file length alone decides.
   std::vector<char> in_basis(a.cols(), 0);
   for (const std::size_t j : basic) in_basis[j] = 1;
   std::size_t pivots = 0;
@@ -275,7 +345,7 @@ TEST(FactoredBasis, SingularBasisReportsDeficiencyForRepair) {
   a.add_entry(dup, 1, 2.0);
   a.add_entry(dup, 2, 1.0);
 
-  Basis lu(BasisKind::kFactoredLu);
+  Basis lu;
   lu.set_basic({dup, dup, 2});
   EXPECT_FALSE(lu.refactor(a));
   ASSERT_EQ(lu.deficiency().size(), 1u);
@@ -289,39 +359,32 @@ TEST(FactoredBasis, SingularBasisReportsDeficiencyForRepair) {
   lu.set_basic(repaired);
   EXPECT_TRUE(lu.refactor(a));
   EXPECT_TRUE(lu.deficiency().empty());
-
-  // The dense reference reports failure without a repair hint.
-  Basis dense(BasisKind::kDense);
-  dense.set_basic({dup, dup, 2});
-  EXPECT_FALSE(dense.refactor(a));
-  EXPECT_TRUE(dense.deficiency().empty());
 }
 
 TEST(FactoredBasis, WarmRowDeletionMatchesColdRefactorisation) {
   // Basis-level contract: deleting rows whose own unit columns are basic
-  // must agree with factorising the reduced basis from scratch.
+  // leaves the renumbered surviving basic set, which refactorises against
+  // the reduced matrix and solves it exactly — also when the deletion lands
+  // on top of an eta file.
   common::Rng rng(808);
+  int deleted = 0;
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t m = static_cast<std::size_t>(rng.uniform_int(4, 18));
     const std::size_t extra = static_cast<std::size_t>(rng.uniform_int(2, 8));
     const SparseMatrix a = random_matrix(rng, m, extra);
-    const std::vector<std::size_t> basic = random_basic(rng, a, m, extra);
+    Basis lu;
+    lu.set_basic(random_basic(rng, a, m, extra));
+    if (!lu.refactor(a)) continue;
+    random_pivots(lu, a, rng, m, 3);
+    const std::vector<std::size_t> basic = lu.basic();
 
-    Basis dense(BasisKind::kDense);
-    dense.set_basic(basic);
-    if (!dense.refactor(a)) continue;
-
-    // Delete up to two rows whose identity column is basic in place (the
-    // random_basic construction keeps basic[i] == i unless swapped out).
+    // Delete up to two rows whose identity column is basic in place.
     std::vector<std::size_t> rows;
-    std::vector<std::size_t> positions;
     for (std::size_t i = 0; i < m && rows.size() < 2; ++i) {
-      if (basic[i] == i) {
-        rows.push_back(i);
-        positions.push_back(i);
-      }
+      if (basic[i] == i) rows.push_back(i);
     }
     if (rows.empty()) continue;
+    const std::vector<std::size_t>& positions = rows;
 
     // Reduced matrix: drop the deleted rows and their unit columns.
     std::vector<char> drop_row(m, 0);
@@ -343,21 +406,19 @@ TEST(FactoredBasis, WarmRowDeletionMatchesColdRefactorisation) {
         if (!drop_row[e.row]) reduced.add_entry(nj, row_remap[e.row], e.value);
       }
     }
+    std::vector<std::size_t> expected_basic;
+    for (std::size_t p = 0; p < m; ++p) {
+      if (!drop_row[p]) expected_basic.push_back(col_remap[basic[p]]);
+    }
 
-    Basis lu(BasisKind::kFactoredLu);
-    lu.set_basic(basic);
-    ASSERT_TRUE(lu.refactor(a));
-
-    const bool dense_still_valid = dense.delete_rows(positions, rows, col_remap);
-    EXPECT_TRUE(dense_still_valid);  // the dense inverse shrinks exactly
-    const bool lu_still_valid = lu.delete_rows(positions, rows, col_remap);
-    EXPECT_FALSE(lu_still_valid);  // the factored basis asks for a refactor
-    ASSERT_TRUE(lu.refactor(reduced));
-
-    ASSERT_EQ(dense.size(), lu.size());
-    EXPECT_EQ(dense.basic(), lu.basic());
-    expect_bases_agree(dense, lu, reduced, rng);
+    lu.delete_rows(positions, col_remap);
+    EXPECT_EQ(lu.basic(), expected_basic) << "trial " << trial;
+    EXPECT_EQ(lu.pivots_since_refactor(), 0u) << "trial " << trial;
+    ASSERT_TRUE(lu.refactor(reduced)) << "trial " << trial;
+    expect_residuals_small(lu, reduced, rng, "after deletion");
+    ++deleted;
   }
+  EXPECT_GE(deleted, 10);
 }
 
 TEST(FactoredBasis, LpSolverWarmDeleteMatchesColdSolve) {
@@ -452,7 +513,7 @@ TEST(FactoredBasis, LazyCompactionTakesTheWarmPath) {
   EXPECT_GT(compacted.envy_rows_dropped, 0u);
 }
 
-TEST(FactoredBasis, SolverAgreesAcrossBasisKindsAndTableau) {
+TEST(FactoredBasis, SolverAgreesWithTableau) {
   common::Rng rng(246810);
   int optimal_seen = 0;
   for (int trial = 0; trial < 40; ++trial) {
@@ -476,23 +537,13 @@ TEST(FactoredBasis, SolverAgreesAcrossBasisKindsAndTableau) {
       model.add_constraint(std::move(expr), rel, rng.uniform(-3.0, 10.0));
     }
 
-    SolverOptions lu_options;
-    lu_options.basis_kind = BasisKind::kFactoredLu;
-    SolverOptions dense_options;
-    dense_options.basis_kind = BasisKind::kDense;
-    LpSolver lu_solver(lu_options);
-    LpSolver dense_solver(dense_options);
+    LpSolver lu_solver;
     const LpSolution lu = lu_solver.solve(model);
-    const LpSolution dense = dense_solver.solve(model);
     const LpSolution tableau = SimplexSolver().solve(model);
-    ASSERT_EQ(lu.status, dense.status) << "trial " << trial;
     ASSERT_EQ(lu.status, tableau.status) << "trial " << trial;
     if (!lu.optimal()) continue;
     ++optimal_seen;
     EXPECT_NEAR(lu.objective, tableau.objective,
-                1e-5 * (1.0 + std::abs(tableau.objective)))
-        << "trial " << trial;
-    EXPECT_NEAR(dense.objective, tableau.objective,
                 1e-5 * (1.0 + std::abs(tableau.objective)))
         << "trial " << trial;
     EXPECT_TRUE(model.is_feasible(lu.values, 1e-6)) << "trial " << trial;
