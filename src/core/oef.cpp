@@ -23,6 +23,14 @@ using solver::Relation;
 using solver::Sense;
 using solver::VarId;
 
+/// Separation-oracle violation threshold for an envy pair with no row in
+/// the model yet.
+constexpr double kEnvyTolerance = 1e-7;
+/// Threshold for a pair whose row was already materialised this call: rows in
+/// the model are satisfied only to the solver's feasibility tolerance, and
+/// flagging that echo would append duplicate rows forever.
+constexpr double kReaddTolerance = 1e-6;
+
 /// Variable id of x[user][type] given k types.
 [[nodiscard]] constexpr VarId var_of(std::size_t user, std::size_t type, std::size_t k) {
   return user * k + type;
@@ -82,7 +90,9 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
   return eff / multiplicities[i];
 }
 
-/// Envy row: w_l·x_l / r_l  −  w_l·x_i / r_i  ≥ 0.
+/// Envy row: w_l·x_l / r_l  −  w_l·x_i / r_i  ≥ 0. Its first two terms are
+/// the envier's and the envied's type-0 columns (w_l0 > 0 is a SpeedupMatrix
+/// invariant, so neither is dropped as a zero); envy_pair() reads them back.
 [[nodiscard]] Constraint envy_row(const SpeedupMatrix& w,
                                   const std::vector<double>& multiplicities, std::size_t l,
                                   std::size_t i) {
@@ -94,6 +104,14 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
   }
   return Constraint{std::move(expr), Relation::kGreaterEqual, 0.0,
                     "ef_" + std::to_string(l) + "_" + std::to_string(i)};
+}
+
+/// The (envier, envied) pair of a row built by envy_row().
+[[nodiscard]] std::pair<std::size_t, std::size_t> envy_pair(const Constraint& row,
+                                                            std::size_t k) {
+  const auto& terms = row.expr.terms();
+  OEF_CHECK(terms.size() >= 2);
+  return {terms[0].var / k, terms[1].var / k};
 }
 
 /// Worker count for the separation oracle. An explicit `configured` count is
@@ -362,12 +380,10 @@ AllocationResult OefAllocator::solve_cooperative(
   // stops the oracle from re-emitting a row the solver already carries.
   const std::size_t base_rows = model.num_constraints();
   std::vector<char> added(n * n, 0);
-  std::vector<std::pair<std::size_t, std::size_t>> session_pairs;
   const auto seed_pair = [&](std::size_t l, std::size_t i) {
     if (l < n && i < n && l != i && !added[l * n + i]) {
       added[l * n + i] = 1;
       model.add_constraint(envy_row(speedups, multiplicities, l, i));
-      session_pairs.push_back({l, i});
     }
   };
   // The pool stores stable-ID pairs. With caller-provided ids, pairs whose
@@ -402,7 +418,7 @@ AllocationResult OefAllocator::solve_cooperative(
   } else if (options_.recycle_envy_rows && user_ids.empty() && envy_pool_users_ == n) {
     for (const PooledEnvyRow& row : envy_pool_) seed_pair(row.envier, row.envied);
   }
-  if (session_pairs.empty() && options_.seed_adjacent_envy_rows) {
+  if (model.num_constraints() == base_rows && options_.seed_adjacent_envy_rows) {
     // Cold start: at the optimum envy binds densely between users adjacent
     // in the dominance order (Thm 5.2's adjacency structure), so seeding
     // both directions of every pair within distance 2 (~4n rows) skips most
@@ -428,44 +444,38 @@ AllocationResult OefAllocator::solve_cooperative(
     }
   }
 
-  // Lazy row generation: add every violated envy row per round (capped per
-  // user) — more rows per solve, but far fewer full re-solves than the
-  // one-row-per-user policy. Only a small set is active at the optimum.
+  // Lazy row generation: each round adds, for every user, the row of the
+  // pair it envies most (the classic most-violated-row policy; with the
+  // adjacent-pair seeding it measured fastest across the n = 40..300 sweep).
+  // Only a small set is active at the optimum.
   //
-  // Pairs already materialised are skipped below a looser threshold: rows in
-  // the model are satisfied only to the solver's feasibility tolerance, and
-  // flagging that echo would append duplicate rows forever; pairs whose row
-  // was dropped again by compaction are re-emitted once the violation is
+  // Pairs already materialised are skipped below kReaddTolerance; pairs whose
+  // row was dropped again by compaction are re-emitted once the violation is
   // genuine. The per-user scans are independent, so they shard across a
   // small worker pool; the merge walks users in index order, making the
   // emitted rows identical for every thread count.
-  const std::size_t per_user_cap = std::max<std::size_t>(1, options_.max_envy_rows_per_user);
-  const double readd_tolerance = std::max(options_.envy_tolerance, 1e-6);
   const std::size_t workers = oracle_worker_count(options_.oracle_threads, n);
   double oracle_seconds = 0.0;
 
   const auto oracle = [&](const std::vector<double>& point) {
     const double oracle_start = common::monotonic_seconds();
-    std::vector<std::vector<std::pair<double, std::size_t>>> top(n);
+    // Per user: the most-envied index (SIZE_MAX when none is violated).
+    std::vector<std::size_t> worst(n, SIZE_MAX);
     const auto scan_users = [&](std::size_t begin, std::size_t end) {
-      std::vector<std::pair<double, std::size_t>> gaps;
       for (std::size_t l = begin; l < end; ++l) {
         const double own = scaled_efficiency(speedups, multiplicities, point, l);
-        gaps.clear();
+        double worst_gap = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
           if (i == l) continue;
           const double gap = envied_efficiency(speedups, multiplicities, point, l, i) - own;
-          const double threshold =
-              added[l * n + i] ? readd_tolerance : options_.envy_tolerance;
-          if (gap > threshold) gaps.push_back({gap, i});
+          const double threshold = added[l * n + i] ? kReaddTolerance : kEnvyTolerance;
+          // Largest gap wins; the ascending scan keeps the smallest index on
+          // an exact tie, so the choice is a total order.
+          if (gap > threshold && (worst[l] == SIZE_MAX || gap > worst_gap)) {
+            worst_gap = gap;
+            worst[l] = i;
+          }
         }
-        // Worst first; index breaks exact ties so the order is a total one.
-        std::sort(gaps.begin(), gaps.end(), [](const auto& a, const auto& b) {
-          if (a.first != b.first) return a.first > b.first;
-          return a.second < b.second;
-        });
-        if (gaps.size() > per_user_cap) gaps.resize(per_user_cap);
-        top[l] = gaps;
       }
     };
     if (workers <= 1) {
@@ -484,11 +494,10 @@ AllocationResult OefAllocator::solve_cooperative(
     }
     std::vector<Constraint> violated;
     for (std::size_t l = 0; l < n; ++l) {
-      for (const auto& [gap, i] : top[l]) {
-        violated.push_back(envy_row(speedups, multiplicities, l, i));
-        session_pairs.push_back({l, i});
-        added[l * n + i] = 1;
-      }
+      const std::size_t i = worst[l];
+      if (i == SIZE_MAX) continue;
+      violated.push_back(envy_row(speedups, multiplicities, l, i));
+      added[l * n + i] = 1;
     }
     oracle_seconds += common::monotonic_seconds() - oracle_start;
     return violated;
@@ -542,25 +551,25 @@ AllocationResult OefAllocator::solve_cooperative(
   result.allocation = extract_allocation(lazy_result.solution.values, n, k);
   result.total_efficiency = result.allocation.total_efficiency(speedups);
 
-  // Refresh the recycled pool with every envy pair materialised this call
-  // (seeded + lazily added, minus compaction drops), keyed by stable id.
-  // Keeping the loose rows too — not just the binding set — preserves the
-  // invariant the warm start depends on: a quiet next round re-seeds exactly
-  // this call's final row set, the model shapes match, and the solver reuses
-  // the optimal basis instead of cold-solving. The pool cannot grow without
-  // bound: it mirrors the final model, whose envy rows the in-call
-  // compaction budget caps.
+  // Refresh the recycled pool from the final model: its envy rows (those
+  // past the capacity rows, which the lazy loop kept in step with the solver
+  // through every compaction), keyed by stable id. Keeping the loose rows
+  // too — not just the binding set — preserves the invariant the warm start
+  // depends on: a quiet next round re-seeds exactly this call's final row
+  // set, the model shapes match, and the solver reuses the optimal basis
+  // instead of cold-solving. The in-call compaction budget caps the pool.
   if (options_.recycle_envy_rows) {
-    // Materialisation order, deduplicated first-occurrence (a pair appears
-    // twice only when compaction dropped its row and the oracle re-emitted
-    // it). Preserving the order matters: next round seeds the pool in pool
-    // order, so pool order == this model's envy-row order keeps the restored
-    // basis's slack columns attached to the same rows — sorting here would
-    // permute the rows and turn the warm start into a singular-basis repair.
+    // Model order, deduplicated first-occurrence. Preserving the order
+    // matters: next round seeds the pool in pool order, so pool order ==
+    // this model's envy-row order keeps the reused basis's slack columns
+    // attached to the same rows — sorting here would permute the rows and
+    // turn the warm start into a singular-basis repair.
     envy_pool_.clear();
     std::vector<char> pooled(n * n, 0);
     const std::vector<double>& point = lazy_result.solution.values;
-    for (const auto& [l, i] : session_pairs) {
+    const std::vector<Constraint>& rows = model.constraints();
+    for (std::size_t c = base_rows; c < rows.size(); ++c) {
+      const auto [l, i] = envy_pair(rows[c], k);
       if (pooled[l * n + i]) continue;
       pooled[l * n + i] = 1;
       PooledEnvyRow row;

@@ -35,14 +35,6 @@ struct OefOptions {
   /// eagerly (false). Lazy is the default and is required at large n.
   bool lazy_envy_constraints = true;
   std::size_t max_lazy_rounds = 200;
-  /// Violation threshold for the envy separation oracle.
-  double envy_tolerance = 1e-7;
-  /// Cooperative lazy mode: most-violated envy rows the separation oracle
-  /// emits per user per round. 1 (the classic most-violated-row policy)
-  /// measures fastest across the n = 40..300 sweep once the relaxation is
-  /// seeded with the adjacent-pair rows; larger values trade rounds for row
-  /// growth, which the O(m^2) basis operations punish.
-  std::size_t max_envy_rows_per_user = 1;
   /// Cooperative lazy mode: relaxation-compaction ceiling. Once the working
   /// LP holds more than this many envy rows, rows slack at the current
   /// optimum are dropped and the shrunken model re-solved. This is a safety
@@ -184,9 +176,11 @@ class OefAllocator {
   /// across all allocate() calls on this instance.
   [[nodiscard]] double oracle_seconds() const { return oracle_seconds_total_; }
 
-  /// Checkpoint hook (PR 9): serializes the allocator's warm identity — the
+  /// Checkpoint hook: serializes the allocator's warm identity — the
   /// recycled envy pool and each persistent solver's LpWarmState — so a fresh
-  /// process can resume churn on warm paths. Counters (solver stats, oracle
+  /// process can resume churn on warm paths: its next allocate() rebuilds the
+  /// same model from the caller's inputs and the pool, and the solver
+  /// warm-starts from the restored identity. Counters (solver stats, oracle
   /// seconds) are telemetry, not warm state, and are not saved.
   void save_warm_state(common::SerialWriter& out) const;
 

@@ -1,4 +1,4 @@
-// Crash-safe versioned checkpoint file container (PR 9).
+// Crash-safe versioned checkpoint file container.
 //
 // The daemon's durability contract — "no acknowledged update is ever lost" —
 // rests on two properties of this container:
@@ -26,8 +26,10 @@
 namespace oef::service {
 
 /// Current checkpoint format version. Bump on any payload schema change;
-/// load_checkpoint() rejects versions it does not know.
-inline constexpr std::uint64_t kCheckpointVersion = 1;
+/// load_checkpoint() rejects versions it does not know. Version 2 dropped the
+/// LP model from the allocator's warm state (the solvers carry only their
+/// basis identity), so a version-1 file is refused.
+inline constexpr std::uint64_t kCheckpointVersion = 2;
 
 /// Writes `payload` to `path` atomically (tmp + fsync + rename). Throws
 /// common::CheckError(kBadState) on I/O failure.

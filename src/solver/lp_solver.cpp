@@ -33,6 +33,10 @@ constexpr double kFeasTol = 1e-9;
 // Devex reference-framework restart threshold: when the largest weight grows
 // past this, the frame is stale and all weights reset to 1.
 constexpr double kDevexReset = 1e7;
+// The basis refactorises once its eta file holds this many pivots, or once
+// the eta nonzeros exceed kRefactorFillGrowth x (fresh LU nonzeros + m).
+constexpr std::size_t kRefactorInterval = 64;
+constexpr double kRefactorFillGrowth = 2.0;
 
 double seconds_since(double start) { return common::monotonic_seconds() - start; }
 
@@ -40,8 +44,8 @@ double seconds_since(double start) { return common::monotonic_seconds() - start;
 
 // Revised-simplex state: standard form (scaled, column-sparse), Basis, and
 // the current basic solution. One Core corresponds to one loaded model; warm
-// starts copy the Basis and the nonbasic bound statuses from the previous
-// Core into the next.
+// starts install the previous Core's warm identity (basic set and nonbasic
+// bound statuses) into the next.
 //
 // Variable upper bounds are handled natively (bounded-variable simplex): a
 // nonbasic column rests at its lower bound (value 0) or, when at_upper_ is
@@ -57,10 +61,13 @@ class LpSolver::Core {
   /// Two-phase cold solve from the all-slack/artificial basis.
   [[nodiscard]] SolveStatus run_cold(const SolverOptions& options);
 
-  /// Attempts to reoptimise starting from `prior`'s basis and bound statuses.
-  /// Returns kIterationLimit (without consuming iterations) when the basis
-  /// cannot be reused, so the caller falls back to a cold solve.
-  [[nodiscard]] SolveStatus run_warm_from(const Core& prior, const SolverOptions& options);
+  /// Attempts to reoptimise starting from the warm identity `prior` (basic
+  /// set and bound statuses). Returns kIterationLimit (without consuming
+  /// iterations) when the identity does not fit this core — wrong shape, a
+  /// duplicate or out-of-range basic column, or a basis that will not
+  /// refactorise — so the caller falls back to a cold solve.
+  [[nodiscard]] SolveStatus run_warm_from(const LpWarmState& prior,
+                                          const SolverOptions& options);
 
   /// Converts a model constraint into a standard-form row against this
   /// core's column layout (inequalities normalised to <=).
@@ -72,7 +79,7 @@ class LpSolver::Core {
 
   /// Appends one inequality row (already <=-normalised by build_standard_row)
   /// with a fresh basic slack. Keeps the basis representation exact.
-  void append_row(const internal::StandardRow& row, const SolverOptions& options);
+  void append_row(const internal::StandardRow& row);
 
   /// Warm row deletion: excises the given standard rows (== model constraint
   /// indices, sorted ascending) together with their slack/artificial columns
@@ -82,8 +89,7 @@ class LpSolver::Core {
   /// untouched and the vertex stays optimal for the reduced model. Returns
   /// false (leaving this core unusable) when some row has no basic unit
   /// column or the reduced basis fails to refactorise.
-  [[nodiscard]] bool delete_rows(const std::vector<std::size_t>& rows,
-                                 const SolverOptions& options);
+  [[nodiscard]] bool delete_rows(const std::vector<std::size_t>& rows);
 
   /// Dual-simplex reoptimisation from the current basis (after append_row).
   [[nodiscard]] SolveStatus run_resolve(const SolverOptions& options);
@@ -92,21 +98,10 @@ class LpSolver::Core {
   /// iteration counters). `model` must be the loaded model.
   void extract(const LpModel& model, LpSolution& out) const;
 
-  [[nodiscard]] bool shape_matches(const Core& other) const;
-
-  /// Warm identity for checkpointing: the basic set and the at-upper flags.
-  /// Together with the loaded model these determine the next warm start
-  /// completely (run_warm_from reads nothing else from the prior core).
-  void export_warm(std::vector<std::size_t>& basic, std::vector<char>& at_upper) const {
-    basic = basis_.basic();
-    at_upper.assign(at_upper_.begin(), at_upper_.end());
+  /// The warm identity run_warm_from reads (it reads nothing else).
+  [[nodiscard]] LpWarmState warm_state() const {
+    return {basis_.basic(), at_upper_, relations_, n_struct_};
   }
-
-  /// Installs a checkpointed warm identity onto a freshly load()ed core and
-  /// refactorises. Returns false (core unusable) on shape mismatch, a
-  /// duplicate basic column, or a singular restored basis.
-  [[nodiscard]] bool restore_warm(const std::vector<std::size_t>& basic,
-                                  const std::vector<char>& at_upper);
 
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
   [[nodiscard]] std::size_t phase1_iterations() const { return phase1_iterations_; }
@@ -130,7 +125,7 @@ class LpSolver::Core {
   void accumulate_vt_a(const std::vector<double>& v, double factor,
                        std::vector<double>& out) const;
   [[nodiscard]] bool refactor();
-  [[nodiscard]] bool refactor_if_due(const SolverOptions& options);
+  [[nodiscard]] bool refactor_if_due();
   void inject_basis_fault();
   void maybe_corrupt_eta();
   void refresh_xb();
@@ -181,7 +176,6 @@ class LpSolver::Core {
   Basis basis_;
   std::vector<double> xb_;
 
-  std::size_t max_iterations_ = 0;
   std::size_t iterations_ = 0;
   std::size_t phase1_iterations_ = 0;
   std::size_t dual_iterations_ = 0;
@@ -293,8 +287,6 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   primal_weights_.assign(num_cols_, 1.0);
   dual_weights_.assign(m_, 1.0);
 
-  max_iterations_ = options.max_iterations != 0 ? options.max_iterations
-                                                : 200 * (m_ + num_cols_) + 10000;
   iterations_ = phase1_iterations_ = dual_iterations_ = 0;
   basis_repairs_ = 0;
   injector_ = options.fault_injector;
@@ -372,12 +364,12 @@ bool LpSolver::Core::refactor() {
   return false;
 }
 
-bool LpSolver::Core::refactor_if_due(const SolverOptions& options) {
+bool LpSolver::Core::refactor_if_due() {
   // The basis refactorises when its eta file outgrows the fresh factor
   // (length or fill). Drift between refactorisations is bounded by the dual
   // path's alpha/ftran agreement check and the final is_feasible
   // verification (which falls back to the tableau on failure).
-  if (!basis_.refactor_due(options.refactor_interval, options.refactor_fill_growth)) {
+  if (!basis_.refactor_due(kRefactorInterval, kRefactorFillGrowth)) {
     return true;
   }
   if (!refactor()) return false;
@@ -482,14 +474,14 @@ void LpSolver::Core::update_dual_devex(const std::vector<double>& w, std::size_t
 }
 
 SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options) {
-  const double tol = options.tolerance;
+  const double tol = kSolverTolerance;
   std::size_t stall = 0;
   bool bland = false;
   double last_objective = phase_objective(phase1);
   std::fill(primal_weights_.begin(), primal_weights_.end(), 1.0);
   while (true) {
-    if (iterations_ >= max_iterations_) return SolveStatus::kIterationLimit;
-    if (!refactor_if_due(options)) return SolveStatus::kIterationLimit;
+    if (iterations_ >= pivot_budget(m_, num_cols_)) return SolveStatus::kIterationLimit;
+    if (!refactor_if_due()) return SolveStatus::kIterationLimit;
 
     const std::vector<double> y = basis_.btran(basic_costs(phase1));
     const std::vector<double> d = reduced_costs(y, phase1);
@@ -629,14 +621,14 @@ SolveStatus LpSolver::Core::run_primal(bool phase1, const SolverOptions& options
 }
 
 SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
-  const double tol = options.tolerance;
+  const double tol = kSolverTolerance;
   std::size_t stall = 0;
   bool bland = false;
   double last_infeasibility = std::numeric_limits<double>::infinity();
   std::fill(dual_weights_.begin(), dual_weights_.end(), 1.0);
   while (true) {
-    if (iterations_ >= max_iterations_) return SolveStatus::kIterationLimit;
-    if (!refactor_if_due(options)) return SolveStatus::kIterationLimit;
+    if (iterations_ >= pivot_budget(m_, num_cols_)) return SolveStatus::kIterationLimit;
+    if (!refactor_if_due()) return SolveStatus::kIterationLimit;
 
     // Leaving row: a basic variable below its lower bound (leaves at lower)
     // or above its finite upper bound (leaves at upper). Devex scores
@@ -807,7 +799,7 @@ SolveStatus LpSolver::Core::finish_perturbed(const SolverOptions& options) {
   perturbed_ = false;
   // B^-1 does not depend on the rhs, so no refactorisation is needed here —
   // only the basic values move. refactor_if_due still bounds drift.
-  if (!refactor_if_due(options)) return SolveStatus::kIterationLimit;
+  if (!refactor_if_due()) return SolveStatus::kIterationLimit;
   refresh_xb();
   bool feasible = true;
   const auto& basic = basis_.basic();
@@ -825,7 +817,7 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
     // No constraints: each column rests at whichever bound its cost prefers;
     // a negative-cost column without a finite upper bound is unbounded.
     for (std::size_t j = 0; j < num_cols_; ++j) {
-      if (cost_[j] < -options.tolerance) {
+      if (cost_[j] < -kSolverTolerance) {
         if (!std::isfinite(upper_[j])) return SolveStatus::kUnbounded;
         set_at_upper(j, true);
       }
@@ -843,18 +835,29 @@ SolveStatus LpSolver::Core::run_cold(const SolverOptions& options) {
   return finish_perturbed(options);
 }
 
-SolveStatus LpSolver::Core::run_warm_from(const Core& prior, const SolverOptions& options) {
-  basis_ = prior.basis_;
+SolveStatus LpSolver::Core::run_warm_from(const LpWarmState& prior,
+                                          const SolverOptions& options) {
+  // The identity may come from a checkpoint file, so every index is checked
+  // before it is used.
+  if (prior.num_structural != n_struct_ || prior.relations != relations_ ||
+      prior.basic.size() != m_ || prior.at_upper.size() != num_cols_) {
+    return SolveStatus::kIterationLimit;
+  }
+  std::vector<char> seen(num_cols_, 0);
+  for (const std::size_t col : prior.basic) {
+    if (col >= num_cols_ || seen[col]) return SolveStatus::kIterationLimit;
+    seen[col] = 1;
+  }
+  basis_.set_basic(prior.basic);
   rebuild_basis_flags();
   // The nonbasic bound statuses are part of the vertex; restore them and
   // re-establish the invariants that basic columns carry no at-upper flag
   // and that at-upper columns still have a finite bound (a same-shaped model
   // may have widened a bound to infinity — resting there would poison xb
   // with non-finite values).
-  at_upper_ = prior.at_upper_;
   num_at_upper_ = 0;
   for (std::size_t j = 0; j < num_cols_; ++j) {
-    if (in_basis_[j] || !std::isfinite(upper_[j])) at_upper_[j] = 0;
+    at_upper_[j] = prior.at_upper[j] && !in_basis_[j] && std::isfinite(upper_[j]) ? 1 : 0;
     if (at_upper_[j]) ++num_at_upper_;
   }
   // The perturbation exists to help cold starts through degenerate phase-1
@@ -908,8 +911,7 @@ SolveStatus LpSolver::Core::run_warm_from(const Core& prior, const SolverOptions
   return run_primal(/*phase1=*/false, options);
 }
 
-void LpSolver::Core::append_row(const internal::StandardRow& row,
-                                const SolverOptions& options) {
+void LpSolver::Core::append_row(const internal::StandardRow& row) {
   OEF_CHECK(row.relation == Relation::kLessEqual);
   std::vector<double> coeffs(num_cols_ + 1, 0.0);
   double biggest = 0.0;
@@ -950,12 +952,9 @@ void LpSolver::Core::append_row(const internal::StandardRow& row,
   row_scale_.push_back(rscale);
   xb_.push_back(0.0);  // refreshed in run_resolve
   ++m_;
-  max_iterations_ = options.max_iterations != 0 ? options.max_iterations
-                                                : 200 * (m_ + num_cols_) + 10000;
 }
 
-bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
-                                 const SolverOptions& options) {
+bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows) {
   if (rows.empty()) return true;
 
   // Every deleted row must be covered by a basic unit column of its own
@@ -1074,8 +1073,6 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (artificial_[j]) any_artificial_ = true;
   }
-  max_iterations_ = options.max_iterations != 0 ? options.max_iterations
-                                                : 200 * (m_ + num_cols_) + 10000;
 
   // A fresh (cheap, sparse) factorisation of the reduced basis; the
   // surviving basic values are recomputed from the reduced rhs — the vertex
@@ -1088,13 +1085,12 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows,
 SolveStatus LpSolver::Core::run_resolve(const SolverOptions& options) {
   iterations_ = phase1_iterations_ = dual_iterations_ = 0;
   // append_row() kept the basis representation exact (bordered update /
-  // inverse extension), but a resolve refactorises unconditionally anyway —
-  // same rationale as run_warm_from: continuation is then a pure function of
-  // (model, basic set, at-upper flags), which is exactly the checkpoint
-  // identity, so a solver restored from a checkpoint pivots bit-identically
-  // to the uninterrupted one. An accumulated eta file and a fresh
-  // factorisation of the same basis differ in low bits; one bounded LU per
-  // resolve buys determinism across restarts.
+  // inverse extension), but a resolve refactorises unconditionally anyway,
+  // which fixes its pivots as a function of (model, basic set, at-upper
+  // flags) alone. Checkpoint restore does not depend on it: a restored
+  // solver enters through solve() -> run_warm_from, which refactorises for
+  // the live solver too. Dropping this refactor changes pivots and is a
+  // performance question only.
   if (!refactor()) return SolveStatus::kIterationLimit;
   refresh_xb();
   const SolveStatus status = run_dual(options);
@@ -1142,37 +1138,6 @@ void LpSolver::Core::extract(const LpModel& model, LpSolution& out) const {
   out.dual_iterations = dual_iterations_;
 }
 
-bool LpSolver::Core::restore_warm(const std::vector<std::size_t>& basic,
-                                  const std::vector<char>& at_upper) {
-  if (basic.size() != m_ || at_upper.size() != num_cols_) return false;
-  std::vector<char> seen(num_cols_, 0);
-  for (const std::size_t col : basic) {
-    if (col >= num_cols_ || seen[col]) return false;
-    seen[col] = 1;
-  }
-  basis_.set_basic(basic);
-  rebuild_basis_flags();
-  // Mirror run_warm_from's status invariants: basic columns carry no at-upper
-  // flag and at-upper columns must still have a finite bound.
-  at_upper_ = at_upper;
-  num_at_upper_ = 0;
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    if (in_basis_[j] || !std::isfinite(upper_[j])) at_upper_[j] = 0;
-    if (at_upper_[j]) ++num_at_upper_;
-  }
-  b_ = b_exact_;
-  perturbed_ = false;
-  if (!refactor()) return false;
-  refresh_xb();
-  return true;
-}
-
-bool LpSolver::Core::shape_matches(const Core& other) const {
-  return m_ == other.m_ && num_cols_ == other.num_cols_ &&
-         n_struct_ == other.n_struct_ && relations_ == other.relations_ &&
-         skel_.columns.size() == other.skel_.columns.size();
-}
-
 // ---------------------------------------------------------------------------
 // LpSolver
 // ---------------------------------------------------------------------------
@@ -1186,6 +1151,7 @@ LpSolver::LpSolver(const LpSolver& other)
     : options_(other.options_),
       model_(other.model_),
       core_(other.core_ ? std::make_unique<Core>(*other.core_) : nullptr),
+      imported_(other.imported_),
       stats_(other.stats_),
       incremental_ok_(other.incremental_ok_) {}
 
@@ -1194,6 +1160,7 @@ LpSolver& LpSolver::operator=(const LpSolver& other) {
     options_ = other.options_;
     model_ = other.model_;
     core_ = other.core_ ? std::make_unique<Core>(*other.core_) : nullptr;
+    imported_ = other.imported_;
     stats_ = other.stats_;
     incremental_ok_ = other.incremental_ok_;
   }
@@ -1203,24 +1170,18 @@ LpSolver& LpSolver::operator=(const LpSolver& other) {
 bool LpSolver::has_basis() const { return core_ != nullptr && incremental_ok_; }
 
 std::optional<LpWarmState> LpSolver::export_warm_state() const {
+  if (imported_.has_value()) return imported_;
   if (!has_basis()) return std::nullopt;
-  LpWarmState state;
-  state.model = model_;
-  core_->export_warm(state.basic, state.at_upper);
-  return state;
+  return core_->warm_state();
 }
 
-bool LpSolver::import_warm_state(const LpWarmState& state) {
-  model_ = state.model;
+bool LpSolver::import_warm_state(LpWarmState state) {
+  model_ = LpModel();
   core_.reset();
   incremental_ok_ = false;
+  imported_.reset();
   if (options_.algorithm == LpAlgorithm::kTableau) return false;
-  auto core = std::make_unique<Core>();
-  core->load(model_, options_);
-  if (!core->restore_warm(state.basic, state.at_upper)) return false;
-  stats_.basis_repairs += core->take_basis_repairs();
-  core_ = std::move(core);
-  incremental_ok_ = true;
+  imported_ = std::move(state);
   return true;
 }
 
@@ -1261,8 +1222,8 @@ LpSolution LpSolver::solve_loaded_cold() {
 
 LpSolution LpSolver::solve(const LpModel& model) {
   const double start = common::monotonic_seconds();
-  std::unique_ptr<Core> previous = std::move(core_);
-  const bool had_basis = previous != nullptr && incremental_ok_;
+  const std::optional<LpWarmState> prior = export_warm_state();
+  imported_.reset();
   model_ = model;
   core_.reset();
   incremental_ok_ = false;
@@ -1275,27 +1236,25 @@ LpSolution LpSolver::solve(const LpModel& model) {
     return solution;
   }
 
-  if (options_.warm_start && had_basis) {
+  if (options_.warm_start && prior.has_value()) {
     auto core = std::make_unique<Core>();
     core->load(model_, options_);
-    if (core->shape_matches(*previous)) {
-      LpSolution solution;
-      solution.status = core->run_warm_from(*previous, options_);
-      stats_.total_iterations += core->iterations();
-      stats_.basis_repairs += core->take_basis_repairs();
-      if (solution.status == SolveStatus::kOptimal) {
-        core->extract(model_, solution);
-        if (model_.is_feasible(solution.values, 1e-6)) {
-          solution.warm_started = true;
-          ++stats_.warm_start_hits;
-          core_ = std::move(core);
-          incremental_ok_ = true;
-          stats_.solve_seconds += seconds_since(start);
-          return solution;
-        }
+    LpSolution solution;
+    solution.status = core->run_warm_from(*prior, options_);
+    stats_.total_iterations += core->iterations();
+    stats_.basis_repairs += core->take_basis_repairs();
+    if (solution.status == SolveStatus::kOptimal) {
+      core->extract(model_, solution);
+      if (model_.is_feasible(solution.values, 1e-6)) {
+        solution.warm_started = true;
+        ++stats_.warm_start_hits;
+        core_ = std::move(core);
+        incremental_ok_ = true;
+        stats_.solve_seconds += seconds_since(start);
+        return solution;
       }
-      // Warm attempt failed; fall through to a cold solve.
     }
+    // The identity did not fit or the warm attempt failed; solve cold.
   }
 
   LpSolution solution = solve_loaded_cold();
@@ -1318,7 +1277,7 @@ bool LpSolver::delete_rows(const std::vector<std::size_t>& row_indices) {
 
   bool warm = false;
   if (options_.algorithm != LpAlgorithm::kTableau && core_ && incremental_ok_) {
-    warm = core_->delete_rows(sorted, options_);
+    warm = core_->delete_rows(sorted);
     stats_.basis_repairs += core_->take_basis_repairs();
     if (!warm) {
       // Either some row had no basic unit column (so the excision would
@@ -1346,13 +1305,14 @@ std::size_t LpSolver::add_rows(const std::vector<Constraint>& rows) {
       incremental_ok_ = false;
       continue;
     }
-    core_->append_row(core_->standard_row(constraint, index), options_);
+    core_->append_row(core_->standard_row(constraint, index));
   }
   return accepted;
 }
 
 LpSolution LpSolver::resolve() {
   const double start = common::monotonic_seconds();
+  imported_.reset();
   if (options_.algorithm == LpAlgorithm::kTableau || !core_ || !incremental_ok_) {
     LpSolution solution;
     if (options_.algorithm == LpAlgorithm::kTableau) {

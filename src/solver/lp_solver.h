@@ -42,17 +42,19 @@
 
 namespace oef::solver {
 
-/// Everything a fresh LpSolver needs to resume warm exactly where another
-/// instance (possibly in another process) left off: the loaded model, the
-/// basic column set and the nonbasic at-upper statuses. The factorisation
-/// itself is deliberately absent — warm starts refactorise from the basic set
-/// anyway (see Core::run_warm_from), so (model, basic, at_upper) is the whole
-/// warm identity and a restore is pivot-identical to the uninterrupted run.
-/// Serialized by solver/checkpoint.h for the daemon's crash-safe checkpoint.
+/// The warm identity of a solver: everything the next solve() reads from the
+/// previous one. A warm start refactorises from the basic set (see
+/// Core::run_warm_from), so the basic column of each basis position and the
+/// nonbasic at-upper flags are the whole vertex; the row relations and the
+/// structural column count are the shape a new model must have for the
+/// identity to apply. Round-over-round basis reuse and checkpoint restore
+/// (solver/checkpoint.h) both enter through it, so a restored solver's next
+/// solve is pivot-identical to the uninterrupted one.
 struct LpWarmState {
-  LpModel model;
   std::vector<std::size_t> basic;
   std::vector<char> at_upper;
+  std::vector<Relation> relations;
+  std::size_t num_structural = 0;
 };
 
 /// Cumulative counters across the lifetime of one LpSolver.
@@ -117,17 +119,18 @@ class LpSolver {
   /// True when a previous solve left an optimal basis to warm-start from.
   [[nodiscard]] bool has_basis() const;
 
-  /// Snapshot of the warm state (see LpWarmState); nullopt when there is no
-  /// reusable basis (nothing solved yet, tableau mode, or a prior failure).
+  /// The warm identity the next solve() would start from (see LpWarmState):
+  /// an imported identity not yet consumed by a solve(), else the current
+  /// basis; nullopt when there is neither (nothing solved yet, tableau mode,
+  /// or a prior failure).
   [[nodiscard]] std::optional<LpWarmState> export_warm_state() const;
 
-  /// Restores a warm state exported by export_warm_state(): loads the model,
-  /// installs the basic set and bound statuses, and refactorises. On success
-  /// (true) the next same-shaped solve() warm-starts exactly as it would have
-  /// in the exporting instance. On failure (malformed state or a singular
-  /// restored basis) the solver is left cold with the model loaded — callers
-  /// degrade to a cold first solve, never to an error.
-  bool import_warm_state(const LpWarmState& state);
+  /// Stores `state` for the next solve(), which warm-starts from it when the
+  /// model has its shape. An identity that does not fit that model (wrong
+  /// lengths, a duplicate or out-of-range column, a basis that will not
+  /// refactorise) makes that solve cold — a degraded start, never an error.
+  /// Returns false, storing nothing, in tableau mode.
+  bool import_warm_state(LpWarmState state);
 
   /// The currently loaded model, including rows appended via add_rows().
   [[nodiscard]] const LpModel& model() const { return model_; }
@@ -147,6 +150,8 @@ class LpSolver {
   SolverOptions options_;
   LpModel model_;
   std::unique_ptr<Core> core_;
+  /// Set by import_warm_state(); consumed by the next solve().
+  std::optional<LpWarmState> imported_;
   LpSolverStats stats_;
   bool incremental_ok_ = false;
 };

@@ -192,8 +192,7 @@ class Tableau {
       }
     }
 
-    max_iterations_ = options_.max_iterations != 0 ? options_.max_iterations
-                                                   : 200 * (m_ + total_cols_) + 10000;
+    max_iterations_ = pivot_budget(m_, total_cols_);
   }
 
   void pivot(std::size_t pivot_row, std::size_t pivot_col) {
@@ -219,7 +218,7 @@ class Tableau {
   // Entering column, or SIZE_MAX when optimal for the given cost row.
   [[nodiscard]] std::size_t price(const std::vector<double>& cost_row, bool allow_artificial,
                                   bool bland) const {
-    const double tol = options_.tolerance;
+    const double tol = kSolverTolerance;
     const std::size_t limit = allow_artificial ? total_cols_ : artificial_start_;
     if (bland) {
       for (std::size_t j = 0; j < limit; ++j) {
@@ -268,7 +267,7 @@ class Tableau {
     // loose tolerance before declaring the column unbounded.
     for (std::size_t i = 0; i < m_; ++i) {
       const double a = rows_[i][col];
-      if (a <= options_.tolerance) continue;
+      if (a <= kSolverTolerance) continue;
       const double ratio = std::max(0.0, rows_[i][width_ - 1]) / a;
       if (ratio < best_ratio) {
         best_ratio = ratio;
@@ -295,7 +294,7 @@ class Tableau {
       pivot(row, col);
       ++iterations_;
       const double objective = -cost_row[width_ - 1];
-      if (objective >= last_objective - options_.tolerance) {
+      if (objective >= last_objective - kSolverTolerance) {
         if (++stall >= options_.stall_limit) bland = true;
       } else {
         stall = 0;

@@ -30,11 +30,16 @@ enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
 /// independent single-shot reference and the degradation ladder's last rung.
 enum class LpAlgorithm { kRevised, kTableau };
 
+/// Pricing and ratio-test tolerance of both engines.
+inline constexpr double kSolverTolerance = 1e-9;
+
+/// Pivot budget of one solve over `rows` constraint rows and `cols` columns;
+/// a run that exhausts it reports kIterationLimit.
+[[nodiscard]] constexpr std::size_t pivot_budget(std::size_t rows, std::size_t cols) {
+  return 200 * (rows + cols) + 10000;
+}
+
 struct SolverOptions {
-  /// Feasibility / pricing tolerance.
-  double tolerance = 1e-9;
-  /// 0 means automatic: 200 * (rows + cols) + 10000.
-  std::size_t max_iterations = 0;
   /// Consecutive non-improving pivots before switching to Bland's rule.
   std::size_t stall_limit = 128;
   /// Row/column max-equilibration before solving.
@@ -44,13 +49,6 @@ struct SolverOptions {
   /// Allow LpSolver::solve to reuse the previous optimal basis when the new
   /// model has the same shape (rows, columns, relations) as the last one.
   bool warm_start = true;
-  /// Revised engine: cap on the eta-file length — the basis is refactorised
-  /// once this many pivots have accumulated since the last factorisation.
-  std::size_t refactor_interval = 64;
-  /// Revised engine: refactorise when the eta file's nonzeros exceed this
-  /// multiple of the fresh LU factor's nonzeros (+ m), i.e. when accumulated
-  /// updates erode the sparse-solve advantage.
-  double refactor_fill_growth = 2.0;
   /// Deterministic fault injection (see fault_injector.h). Non-owning: the
   /// injector must outlive every solver carrying these options. nullptr (the
   /// default) disables injection entirely. The tableau reference path never

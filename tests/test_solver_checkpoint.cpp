@@ -1,12 +1,16 @@
-// Checkpoint contract of the solver layer (PR 9): an LpModel and a warm
-// solver state serialized mid-session and restored into a fresh solver must
-// continue *pivot-identically* — the restored solver performs the same
-// resolve pivots and lands on the bit-identical vertex as the uninterrupted
-// one. Corrupt streams must surface as CheckError(kCorruptData), never as
-// silently wrong state.
+// Checkpoint contract of the solver layer: a warm identity serialized
+// mid-session and restored into a fresh solver must continue
+// *pivot-identically* — the restored solver performs the same pivots and
+// lands on the bit-identical vertex as the uninterrupted one. Corrupt streams
+// must surface as CheckError(kCorruptData), and an identity that does not fit
+// the next model must degrade to a cold solve, never to wrong state.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -74,57 +78,46 @@ std::vector<Constraint> violated_envy_rows(const core::SpeedupMatrix& w,
   return violated;
 }
 
-TEST(SolverCheckpoint, LpModelRoundTripsBitExact) {
-  LpModel model(Sense::kMaximize);
-  model.add_variable("a", 0.0, kInf, 1.0 / 3.0);
-  model.add_variable("b", -2.5, 7.125, -0.1);
-  model.add_variable("c", 0.0, 1.0, 1e-17);
-  LinearExpr expr;
-  expr.add(0, 0.3);
-  expr.add(2, -1.0 / 7.0);
-  model.add_constraint(std::move(expr), Relation::kLessEqual, 4.0, "cap");
-  LinearExpr expr2;
-  expr2.add(1, 2.0);
-  model.add_constraint(std::move(expr2), Relation::kGreaterEqual, -1.0 / 3.0, "floor");
-
-  common::SerialWriter out;
-  write_lp_model(out, model);
-  common::SerialReader in(out.data());
-  const LpModel restored = read_lp_model(in);
-
-  ASSERT_EQ(restored.num_variables(), model.num_variables());
-  ASSERT_EQ(restored.num_constraints(), model.num_constraints());
-  for (std::size_t v = 0; v < model.num_variables(); ++v) {
-    // Bit-exact, not approximately equal: hexfloat round-trips exactly.
-    EXPECT_EQ(restored.variables()[v].lower, model.variables()[v].lower);
-    EXPECT_EQ(restored.variables()[v].upper, model.variables()[v].upper);
-    EXPECT_EQ(restored.variables()[v].objective, model.variables()[v].objective);
+/// `w` with every speedup past the slowest type moved by up to ±10%.
+core::SpeedupMatrix perturbed(const core::SpeedupMatrix& w, common::Rng& rng) {
+  std::vector<std::vector<double>> rows(w.num_users(), std::vector<double>(w.num_types(), 1.0));
+  for (std::size_t l = 0; l < w.num_users(); ++l) {
+    for (std::size_t j = 1; j < w.num_types(); ++j) {
+      rows[l][j] = w.at(l, j) * rng.uniform(0.9, 1.1);
+    }
   }
-  for (std::size_t c = 0; c < model.num_constraints(); ++c) {
-    EXPECT_EQ(restored.constraints()[c].rhs, model.constraints()[c].rhs);
-    EXPECT_EQ(restored.constraints()[c].relation, model.constraints()[c].relation);
-    ASSERT_EQ(restored.constraints()[c].expr.terms().size(),
-              model.constraints()[c].expr.terms().size());
+  return core::SpeedupMatrix(std::move(rows));
+}
+
+void expect_bit_identical(const LpSolution& a, const LpSolution& b, int trial) {
+  EXPECT_EQ(a.iterations, b.iterations) << "trial " << trial;
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (std::size_t v = 0; v < a.values.size(); ++v) {
+    // memcmp, not EXPECT_DOUBLE_EQ: the contract is bit-identity.
+    EXPECT_EQ(0, std::memcmp(&a.values[v], &b.values[v], sizeof(double)))
+        << "trial " << trial << " var " << v;
   }
+  EXPECT_EQ(0, std::memcmp(&a.objective, &b.objective, sizeof(double))) << "trial " << trial;
 }
 
 TEST(SolverCheckpoint, RestoredSolverResolvesPivotIdentically) {
-  // Serialize a solver mid-session (after the round-1 solve), restore into a
-  // fresh instance, then drive both through the same add_rows + resolve.
-  // The restored solver must pivot identically and land on the bit-identical
-  // vertex — the foundation of the daemon's warm-restart contract.
+  // Serialize a solver mid-session (after the round-1 solve) and restore it
+  // into a fresh instance. Then drive both the way production does: solve a
+  // same-shaped model whose coefficients moved, add the rows it violates,
+  // resolve. The restored solver must pivot identically and land on the
+  // bit-identical vertex at both steps — the foundation of the daemon's
+  // warm-restart contract.
   common::Rng rng(77);
   int warm_restores = 0;
+  int resolves_compared = 0;
   for (int trial = 0; trial < 8; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(3, 9));
     const std::size_t k = static_cast<std::size_t>(rng.uniform_int(2, 4));
     const core::SpeedupMatrix w = random_matrix(rng, n, k);
     const std::vector<double> caps(k, 2.0);
-    const LpModel model = oef_base_model(w, caps);
 
     LpSolver original((SolverOptions()));
-    const LpSolution first = original.solve(model);
-    ASSERT_TRUE(first.optimal());
+    ASSERT_TRUE(original.solve(oef_base_model(w, caps)).optimal());
 
     common::SerialWriter out;
     write_warm_state(out, original);
@@ -134,24 +127,107 @@ TEST(SolverCheckpoint, RestoredSolverResolvesPivotIdentically) {
     if (!read_warm_state(in, restored)) continue;  // nothing warm to compare
     ++warm_restores;
 
-    const std::vector<Constraint> rows = violated_envy_rows(w, first.values);
+    const core::SpeedupMatrix moved = perturbed(w, rng);
+    const LpModel model = oef_base_model(moved, caps);
+    const LpSolution a = original.solve(model);
+    const LpSolution b = restored.solve(model);
+    ASSERT_TRUE(a.optimal());
+    ASSERT_TRUE(b.optimal());
+    EXPECT_TRUE(a.warm_started) << "trial " << trial;
+    EXPECT_TRUE(b.warm_started) << "trial " << trial;
+    expect_bit_identical(a, b, trial);
+
+    const std::vector<Constraint> rows = violated_envy_rows(moved, a.values);
     if (rows.empty()) continue;
     original.add_rows(rows);
     restored.add_rows(rows);
-    const LpSolution a = original.resolve();
-    const LpSolution b = restored.resolve();
-    ASSERT_TRUE(a.optimal());
-    ASSERT_TRUE(b.optimal());
-    EXPECT_EQ(a.iterations, b.iterations) << "trial " << trial;
-    ASSERT_EQ(a.values.size(), b.values.size());
-    for (std::size_t v = 0; v < a.values.size(); ++v) {
-      // memcmp, not EXPECT_DOUBLE_EQ: the contract is bit-identity.
-      EXPECT_EQ(0, std::memcmp(&a.values[v], &b.values[v], sizeof(double)))
-          << "trial " << trial << " var " << v;
-    }
-    EXPECT_EQ(0, std::memcmp(&a.objective, &b.objective, sizeof(double)));
+    const LpSolution c = original.resolve();
+    const LpSolution d = restored.resolve();
+    ASSERT_TRUE(c.optimal());
+    ASSERT_TRUE(d.optimal());
+    expect_bit_identical(c, d, trial);
+    ++resolves_compared;
   }
   EXPECT_GE(warm_restores, 5);
+  EXPECT_GE(resolves_compared, 3);
+}
+
+TEST(SolverCheckpoint, ExportAfterImportReturnsTheImportedIdentity) {
+  common::Rng rng(11);
+  const core::SpeedupMatrix w = random_matrix(rng, 5, 3);
+  LpSolver solver((SolverOptions()));
+  ASSERT_TRUE(solver.solve(oef_base_model(w, {2.0, 2.0, 2.0})).optimal());
+  const std::optional<LpWarmState> state = solver.export_warm_state();
+  ASSERT_TRUE(state.has_value());
+
+  common::SerialWriter out;
+  write_warm_state(out, solver);
+  LpSolver restored((SolverOptions()));
+  common::SerialReader in(out.data());
+  ASSERT_TRUE(read_warm_state(in, restored));
+  EXPECT_TRUE(in.at_end());
+  const std::optional<LpWarmState> again = restored.export_warm_state();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->basic, state->basic);
+  EXPECT_EQ(again->at_upper, state->at_upper);
+  EXPECT_EQ(again->relations, state->relations);
+  EXPECT_EQ(again->num_structural, state->num_structural);
+}
+
+TEST(SolverCheckpoint, TamperedIdentityFallsBackToAColdSolve) {
+  // An identity read from disk is outside input: one that does not fit the
+  // next model must make that solve cold and still correct.
+  common::Rng rng(21);
+  const core::SpeedupMatrix w = random_matrix(rng, 6, 3);
+  const std::vector<double> caps = {2.0, 3.0, 1.5};
+  LpModel model = oef_base_model(w, caps);
+  LpSolver live((SolverOptions()));
+  const LpSolution first = live.solve(model);
+  ASSERT_TRUE(first.optimal());
+  const std::vector<Constraint> rows = violated_envy_rows(w, first.values);
+  ASSERT_FALSE(rows.empty());
+  live.add_rows(rows);
+  ASSERT_TRUE(live.resolve().optimal());
+  for (const Constraint& row : rows) model.add_constraint(row);
+  const std::optional<LpWarmState> state = live.export_warm_state();
+  ASSERT_TRUE(state.has_value());
+  ASSERT_GE(state->basic.size(), 2u);
+
+  LpSolver fresh((SolverOptions()));
+  const LpSolution reference = fresh.solve(model);
+  ASSERT_TRUE(reference.optimal());
+
+  const std::vector<std::pair<const char*, void (*)(LpWarmState&)>> tampers = {
+      {"duplicate column", [](LpWarmState& s) { s.basic[1] = s.basic[0]; }},
+      {"column past the end", [](LpWarmState& s) { s.basic[0] = s.at_upper.size(); }},
+      {"huge column", [](LpWarmState& s) { s.basic[0] = SIZE_MAX / 2; }},
+      {"short basic set", [](LpWarmState& s) { s.basic.pop_back(); }},
+      {"long at-upper flags", [](LpWarmState& s) { s.at_upper.push_back(1); }},
+      {"short at-upper flags", [](LpWarmState& s) { s.at_upper.pop_back(); }},
+      {"missing row", [](LpWarmState& s) { s.relations.pop_back(); }},
+      {"other structural count", [](LpWarmState& s) { ++s.num_structural; }},
+  };
+  for (const auto& [name, tamper] : tampers) {
+    LpWarmState bad = *state;
+    tamper(bad);
+    // Through the stream, as a restarted process would read it.
+    LpSolver writer((SolverOptions()));
+    ASSERT_TRUE(writer.import_warm_state(bad)) << name;
+    common::SerialWriter out;
+    write_warm_state(out, writer);
+    LpSolver target((SolverOptions()));
+    common::SerialReader in(out.data());
+    ASSERT_TRUE(read_warm_state(in, target)) << name;
+
+    const LpSolution solution = target.solve(model);
+    ASSERT_TRUE(solution.optimal()) << name;
+    EXPECT_FALSE(solution.warm_started) << name;
+    EXPECT_EQ(target.stats().cold_solves, 1u) << name;
+    EXPECT_EQ(target.stats().warm_start_hits, 0u) << name;
+    EXPECT_NEAR(solution.objective, reference.objective,
+                1e-9 * (1.0 + std::abs(reference.objective)))
+        << name;
+  }
 }
 
 TEST(SolverCheckpoint, SolverWithoutBasisWritesColdMarker) {

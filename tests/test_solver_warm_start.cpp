@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/oef.h"
 #include "core/speedup_matrix.h"
 #include "solver/lp_model.h"
@@ -366,6 +367,73 @@ TEST(WarmStart, AllocatorRecyclesEnvyRowsAcrossCalls) {
   // The recycled pool lets the second call converge in fewer lazy rounds than
   // a from-scratch allocator needs.
   EXPECT_LE(second.lazy_rounds, reference.lazy_rounds);
+}
+
+/// Envy pool size and the envy rows of the cooperative solver's final model,
+/// read from the allocator's checkpoint record (pool first, then the solver's
+/// warm identity, whose relations hold one entry per model row).
+std::pair<std::size_t, std::size_t> pool_and_model_envy_rows(const core::OefAllocator& oef,
+                                                             std::size_t k) {
+  common::SerialWriter out;
+  oef.save_warm_state(out);
+  common::SerialReader in(out.data());
+  (void)in.u64();  // mode
+  (void)in.u64();  // pool user count
+  const std::size_t pool = static_cast<std::size_t>(in.u64());
+  for (std::size_t r = 0; r < 3 * pool; ++r) (void)in.u64();
+  EXPECT_EQ(in.u64(), 1u) << "the cooperative solver holds no warm basis";
+  (void)in.u64();  // structural columns
+  const std::size_t model_rows = in.byte_vec().size();
+  return {pool, model_rows - k};
+}
+
+TEST(WarmStart, EnvyPoolMirrorsTheFinalModelThroughCompaction) {
+  // Demand churn under a tight compaction budget: some calls drop envy rows.
+  // The recycled pool must then hold exactly the final model's envy rows, so
+  // that an identical repeat call rebuilds a model of the final shape and
+  // reuses the optimal basis instead of cold-solving.
+  common::Rng rng(4242);
+  const std::size_t n = 32;
+  const std::size_t k = 3;
+  std::vector<std::vector<double>> rows(n);
+  const auto draw_row = [&](std::vector<double>& row) {
+    row.assign(k, 1.0);
+    for (std::size_t j = 1; j < k; ++j) row[j] = row[j - 1] * rng.uniform(1.0, 2.0);
+  };
+  for (auto& row : rows) draw_row(row);
+  const std::vector<double> mult(n, 1.0);
+  const std::vector<double> caps = {8.0, 10.0, 6.0};
+  std::vector<std::size_t> ids(n);
+  for (std::size_t l = 0; l < n; ++l) ids[l] = l;
+
+  core::OefOptions options;
+  options.max_envy_rows_total = 3 * n;
+  const core::OefAllocator oef = core::make_cooperative_oef(options);
+  int compacting_calls = 0;
+  for (int step = 0; step < 20; ++step) {
+    for (int c = 0; c < 3; ++c) {
+      draw_row(rows[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1))]);
+    }
+    const core::SpeedupMatrix w(rows);
+    const core::AllocationResult result = oef.allocate_weighted(w, mult, caps, ids);
+    ASSERT_TRUE(result.ok()) << "step " << step;
+    if (result.envy_rows_dropped == 0) continue;
+    ++compacting_calls;
+
+    const auto [pool, envy_rows] = pool_and_model_envy_rows(oef, k);
+    EXPECT_EQ(pool, envy_rows) << "step " << step;
+
+    const LpSolverStats before = oef.solver_stats();
+    const core::AllocationResult repeat = oef.allocate_weighted(w, mult, caps, ids);
+    ASSERT_TRUE(repeat.ok()) << "step " << step;
+    const LpSolverStats after = oef.solver_stats();
+    EXPECT_EQ(after.warm_start_hits, before.warm_start_hits + 1) << "step " << step;
+    EXPECT_EQ(after.cold_solves, before.cold_solves) << "step " << step;
+    EXPECT_NEAR(repeat.total_efficiency, result.total_efficiency,
+                1e-9 * (1.0 + result.total_efficiency))
+        << "step " << step;
+  }
+  EXPECT_GE(compacting_calls, 1);
 }
 
 }  // namespace
