@@ -59,7 +59,9 @@ int main() {
   sim::SimOptions base;
   base.scheduler = "OEF-noncoop";
   base.max_rounds = horizon;
-  base.forced_exit_round[3] = exit_round;
+  base.events.push_back({.round = exit_round,
+                         .kind = sim::ClusterEventKind::kTenantDeparture,
+                         .tenant = 3});
 
   bench::print_header("Figure 4(a): honest users, non-cooperative OEF",
                       "four near-identical lines; user-4 exits at minute 40");
@@ -92,10 +94,8 @@ int main() {
   bench::print_header("Figure 4(b): user-1 inflates his speedup vector",
                       "cheater penalised; honest users improve; total drops ~10%");
   sim::SimOptions cheating = base;
-  sim::CheatSpec cheat;
-  cheat.tenant = 0;
-  cheat.factor = 1.35;
-  cheating.cheats.push_back(cheat);
+  cheating.events.push_back(
+      {.round = 0, .kind = sim::ClusterEventKind::kMisreport, .tenant = 0, .factor = 1.35});
   const sim::SimResult lied =
       sim::run_simulation(fixture.cluster, fixture.catalog, fixture.gpu_names,
                           fixture.zoo, make_fig4_trace(fixture.zoo), cheating);

@@ -126,6 +126,27 @@ void build_base_model(LpModel& model, const SpeedupMatrix& w,
   return std::min<std::size_t>(std::max<std::size_t>(hardware, 1), std::min<std::size_t>(n, 8));
 }
 
+/// Solves a complete model (the non-cooperative LP, the eager cooperative
+/// LP) through the persistent solver and fills `result` from the solution.
+/// Across calls with a stable user population the model shape repeats, so
+/// the previous optimal basis warm-starts the solve.
+void solve_whole_model(solver::LpSolver& lp, LpModel model, const SpeedupMatrix& speedups,
+                       AllocationResult& result) {
+  const solver::LpSolution solution = lp.solve(std::move(model));
+  result.status = solution.status;
+  result.lp_iterations = solution.iterations;
+  (solution.warm_started ? result.warm_lp_iterations : result.cold_lp_iterations) =
+      solution.iterations;
+  if (!solution.optimal()) {
+    result.outcome = AllocationStatus::kFailed;
+    return;
+  }
+  result.outcome = AllocationStatus::kOptimal;
+  result.allocation =
+      extract_allocation(solution.values, speedups.num_users(), speedups.num_types());
+  result.total_efficiency = result.allocation.total_efficiency(speedups);
+}
+
 /// Dominance ordering for the fast path: indices sorted so each row is
 /// elementwise <= the next. Returns nullopt when no such chain exists.
 [[nodiscard]] std::optional<std::vector<std::size_t>> dominance_order(
@@ -222,16 +243,9 @@ std::optional<Allocation> non_cooperative_fast_path(
 }
 
 OefAllocator::OefAllocator(Mode mode, OefOptions options)
-    : mode_(mode),
-      options_(options),
-      coop_solver_(options.solver),
-      noncoop_solver_(options.solver) {}
+    : mode_(mode), options_(options), solver_(options.solver) {}
 
-solver::LpSolverStats OefAllocator::solver_stats() const {
-  solver::LpSolverStats stats = coop_solver_.stats();
-  stats.merge(noncoop_solver_.stats());
-  return stats;
-}
+solver::LpSolverStats OefAllocator::solver_stats() const { return solver_.stats(); }
 
 AllocationResult OefAllocator::allocate(const SpeedupMatrix& speedups,
                                         const std::vector<double>& capacities) const {
@@ -253,10 +267,13 @@ AllocationResult OefAllocator::allocate_weighted(
                   "capacities must match the speedup matrix's type count");
   OEF_REQUIRE_MSG(user_ids.empty() || user_ids.size() == speedups.num_users(),
                   "user_ids must be empty or match the user count");
-  if (mode_ == Mode::kNonCooperative) {
-    return solve_non_cooperative(speedups, multiplicities, capacities);
-  }
-  return solve_cooperative(speedups, multiplicities, capacities, user_ids);
+  const double seconds_before = solver_.stats().solve_seconds;
+  AllocationResult result =
+      mode_ == Mode::kNonCooperative
+          ? solve_non_cooperative(speedups, multiplicities, capacities)
+          : solve_cooperative(speedups, multiplicities, capacities, user_ids);
+  result.solve_seconds = solver_.stats().solve_seconds - seconds_before;
+  return result;
 }
 
 AllocationResult OefAllocator::solve_non_cooperative(
@@ -298,29 +315,9 @@ AllocationResult OefAllocator::solve_non_cooperative(
                          "eq_" + std::to_string(l));
   }
 
-  // Persistent solver: across simulator rounds with a stable user population
-  // the model shape repeats, so the previous optimal basis warm-starts this
-  // solve (equal-efficiency rows only move in their coefficients).
-  const solver::LpSolverStats stats_before = noncoop_solver_.stats();
-  const solver::LpSolution solution = noncoop_solver_.solve(model);
-  const solver::LpSolverStats& stats_after = noncoop_solver_.stats();
-  result.status = solution.status;
-  result.lp_iterations = solution.iterations;
-  result.solve_seconds = stats_after.solve_seconds - stats_before.solve_seconds;
-  result.tableau_fallbacks = stats_after.tableau_fallbacks - stats_before.tableau_fallbacks;
-  result.basis_repairs = stats_after.basis_repairs - stats_before.basis_repairs;
-  if (solution.warm_started) {
-    result.warm_lp_iterations = solution.iterations;
-  } else {
-    result.cold_lp_iterations = solution.iterations;
-  }
-  if (!solution.optimal()) {
-    result.outcome = AllocationStatus::kFailed;
-    return result;
-  }
-  result.outcome = AllocationStatus::kOptimal;
-  result.allocation = extract_allocation(solution.values, n, k);
-  result.total_efficiency = result.allocation.total_efficiency(speedups);
+  // Across simulator rounds the equal-efficiency rows only move in their
+  // coefficients, so this solve usually warm-starts.
+  solve_whole_model(solver_, std::move(model), speedups, result);
   return result;
 }
 
@@ -335,39 +332,13 @@ AllocationResult OefAllocator::solve_cooperative(
   build_base_model(model, speedups, capacities);
 
   AllocationResult result;
-  const solver::LpSolverStats stats_before = coop_solver_.stats();
-  const auto harvest_ladder_stats = [&] {
-    const solver::LpSolverStats& after = coop_solver_.stats();
-    result.tableau_fallbacks = after.tableau_fallbacks - stats_before.tableau_fallbacks;
-    result.basis_repairs = after.basis_repairs - stats_before.basis_repairs;
-  };
   if (!options_.lazy_envy_constraints) {
     for (std::size_t l = 0; l < n; ++l) {
       for (std::size_t i = 0; i < n; ++i) {
         if (i != l) model.add_constraint(envy_row(speedups, multiplicities, l, i));
       }
     }
-    // Same persistent solver as the lazy path: stats accumulate, the
-    // configured algorithm applies, and repeat calls of the same shape
-    // warm-start.
-    const double seconds_before = stats_before.solve_seconds;
-    const solver::LpSolution solution = coop_solver_.solve(model);
-    result.solve_seconds = coop_solver_.stats().solve_seconds - seconds_before;
-    harvest_ladder_stats();
-    result.status = solution.status;
-    result.lp_iterations = solution.iterations;
-    if (solution.warm_started) {
-      result.warm_lp_iterations = solution.iterations;
-    } else {
-      result.cold_lp_iterations = solution.iterations;
-    }
-    if (!solution.optimal()) {
-      result.outcome = AllocationStatus::kFailed;
-      return result;
-    }
-    result.outcome = AllocationStatus::kOptimal;
-    result.allocation = extract_allocation(solution.values, n, k);
-    result.total_efficiency = result.allocation.total_efficiency(speedups);
+    solve_whole_model(solver_, std::move(model), speedups, result);
     return result;
   }
 
@@ -503,20 +474,15 @@ AllocationResult OefAllocator::solve_cooperative(
     return violated;
   };
 
-  solver::LazyConstraintSolver lazy(options_.solver, options_.max_lazy_rounds);
+  solver::LazyConstraintSolver lazy(options_.max_lazy_rounds);
   if (options_.max_envy_rows_total != SIZE_MAX) {
     const std::size_t envy_budget = options_.max_envy_rows_total != 0
                                         ? options_.max_envy_rows_total
                                         : std::max<std::size_t>(16 * n, 512);
     lazy.enable_compaction(base_rows, base_rows + envy_budget);
   }
-  if (options_.solve_deadline_seconds > 0.0) {
-    lazy.set_deadline(options_.solve_deadline_seconds);
-  }
-  if (!options_.deadline.is_none()) {
-    lazy.set_deadline(options_.deadline);
-  }
-  const solver::LazySolveResult lazy_result = lazy.solve(coop_solver_, model, oracle);
+  lazy.set_deadline(options_.deadline);
+  const solver::LazySolveResult lazy_result = lazy.solve(solver_, std::move(model), oracle);
   result.status = lazy_result.solution.status;
   result.lp_iterations = lazy_result.total_iterations;
   result.lazy_rounds = lazy_result.rounds;
@@ -527,11 +493,9 @@ AllocationResult OefAllocator::solve_cooperative(
   result.warm_rounds = lazy_result.warm_rounds;
   result.cold_lp_iterations = lazy_result.cold_iterations;
   result.warm_lp_iterations = lazy_result.warm_iterations;
-  result.solve_seconds = lazy_result.solve_seconds;
   result.oracle_seconds = oracle_seconds;
   result.deadline_expired = lazy_result.deadline_expired;
   oracle_seconds_total_ += oracle_seconds;
-  harvest_ladder_stats();
   if (!lazy_result.solution.optimal()) {
     // Every rung of the degradation ladder failed on some relaxation — there
     // is no feasible point to hand out at all.
@@ -551,9 +515,9 @@ AllocationResult OefAllocator::solve_cooperative(
   result.allocation = extract_allocation(lazy_result.solution.values, n, k);
   result.total_efficiency = result.allocation.total_efficiency(speedups);
 
-  // Refresh the recycled pool from the final model: its envy rows (those
-  // past the capacity rows, which the lazy loop kept in step with the solver
-  // through every compaction), keyed by stable id. Keeping the loose rows
+  // Refresh the recycled pool from the final model — the solver's, which
+  // the lazy loop edited through every compaction: its envy rows (those
+  // past the capacity rows), keyed by stable id. Keeping the loose rows
   // too — not just the binding set — preserves the invariant the warm start
   // depends on: a quiet next round re-seeds exactly this call's final row
   // set, the model shapes match, and the solver reuses the optimal basis
@@ -567,7 +531,7 @@ AllocationResult OefAllocator::solve_cooperative(
     envy_pool_.clear();
     std::vector<char> pooled(n * n, 0);
     const std::vector<double>& point = lazy_result.solution.values;
-    const std::vector<Constraint>& rows = model.constraints();
+    const std::vector<Constraint>& rows = solver_.model().constraints();
     for (std::size_t c = base_rows; c < rows.size(); ++c) {
       const auto [l, i] = envy_pair(rows[c], k);
       if (pooled[l * n + i]) continue;
@@ -597,8 +561,7 @@ void OefAllocator::save_warm_state(common::SerialWriter& out) const {
     out.u64(row.envied);
     out.u64(row.binding ? 1 : 0);
   }
-  solver::write_warm_state(out, coop_solver_);
-  solver::write_warm_state(out, noncoop_solver_);
+  solver::write_warm_state(out, solver_);
 }
 
 bool OefAllocator::load_warm_state(common::SerialReader& in) {
@@ -618,9 +581,7 @@ bool OefAllocator::load_warm_state(common::SerialReader& in) {
     row.binding = in.u64() != 0;
     envy_pool_.push_back(row);
   }
-  const bool coop_warm = solver::read_warm_state(in, coop_solver_);
-  const bool noncoop_warm = solver::read_warm_state(in, noncoop_solver_);
-  return coop_warm || noncoop_warm;
+  return solver::read_warm_state(in, solver_);
 }
 
 OefAllocator make_non_cooperative_oef(OefOptions options) {

@@ -64,17 +64,13 @@ struct OefOptions {
   /// rows one violation at a time (n = 300: 46 rounds / 10.4k rows down to
   /// 30 rounds / 6.6k rows, and a cold sweep that completes in minutes).
   bool seed_adjacent_envy_rows = true;
-  /// Monotonic-clock budget for one allocate() call, in seconds; 0 disables
-  /// it. Cooperative lazy mode: when the deadline expires mid-loop the call
-  /// returns the last relaxation optimum (capacity-feasible, envy rows
-  /// approximate) as a *degraded* result instead of running to convergence —
-  /// the anytime contract a per-round scheduler needs.
-  double solve_deadline_seconds = 0.0;
-  /// Absolute monotonic deadline for one allocate() call (none() disables).
-  /// Unlike solve_deadline_seconds — which anchors at allocate() entry — this
-  /// instant is fixed by the caller, so the daemon can anchor a request's
-  /// budget at arrival and let queueing/coalescing delay draw it down. When
-  /// both are set, the earlier instant wins.
+  /// Absolute monotonic deadline for allocate() calls (none() disables it).
+  /// Cooperative lazy mode: when it expires mid-loop the call returns the
+  /// last relaxation optimum (capacity-feasible, envy rows approximate) as a
+  /// *degraded* result instead of running to convergence — the anytime
+  /// contract a per-round scheduler needs. The caller fixes the instant, so
+  /// the daemon anchors a request's budget at arrival and lets
+  /// queueing/coalescing delay draw it down (see OefAllocator::set_deadline).
   common::Deadline deadline = common::Deadline::none();
 };
 
@@ -116,7 +112,7 @@ struct AllocationResult {
   /// Envy rows dropped again by relaxation compaction.
   std::size_t envy_rows_dropped = 0;
   /// Relaxation compactions, and how many kept the basis warm (rows excised
-  /// in place instead of a cold reload of the shrunken model).
+  /// in place instead of a cold solve of the shrunken model).
   std::size_t compactions = 0;
   std::size_t warm_compactions = 0;
   /// Lazy rounds >= 2 completed by a warm dual-simplex resolve, and the
@@ -134,14 +130,9 @@ struct AllocationResult {
   /// totally ordered (crossing rows), so the LP solved it instead. Previously
   /// this degradation was silent.
   bool fast_path_fallback = false;
-  /// Cooperative lazy mode: OefOptions::solve_deadline_seconds expired and
-  /// the last relaxation optimum was returned (outcome == kDegraded).
+  /// Cooperative lazy mode: OefOptions::deadline expired and the last
+  /// relaxation optimum was returned (outcome == kDegraded).
   bool deadline_expired = false;
-  /// Degradation-ladder counters for this call (deltas of the solver's
-  /// cumulative stats): tableau fallbacks and deficient basis positions
-  /// repaired.
-  std::size_t tableau_fallbacks = 0;
-  std::size_t basis_repairs = 0;
 
   /// True only for a converged optimum.
   [[nodiscard]] bool ok() const { return outcome == AllocationStatus::kOptimal; }
@@ -177,15 +168,15 @@ class OefAllocator {
   [[nodiscard]] double oracle_seconds() const { return oracle_seconds_total_; }
 
   /// Checkpoint hook: serializes the allocator's warm identity — the
-  /// recycled envy pool and each persistent solver's LpWarmState — so a fresh
+  /// recycled envy pool and the persistent solver's LpWarmState — so a fresh
   /// process can resume churn on warm paths: its next allocate() rebuilds the
   /// same model from the caller's inputs and the pool, and the solver
   /// warm-starts from the restored identity. Counters (solver stats, oracle
   /// seconds) are telemetry, not warm state, and are not saved.
   void save_warm_state(common::SerialWriter& out) const;
 
-  /// Restores what save_warm_state() wrote. Returns true when at least one
-  /// solver came back warm; false means the next allocate() runs cold (a
+  /// Restores what save_warm_state() wrote. Returns true when the solver
+  /// came back warm; false means the next allocate() runs cold (a
   /// degraded restart, not an error). Throws common::CheckError with
   /// kCorruptData on a malformed record and kInvalidArgument when the
   /// checkpoint was taken under the other Mode.
@@ -220,11 +211,11 @@ class OefAllocator {
 
   Mode mode_;
   OefOptions options_;
-  /// Persistent solvers: kept alive across allocate() calls so the lazy envy
-  /// loop dual-simplex-resolves within a call and same-shaped models across
-  /// calls reuse the previous optimal basis (see solver/lp_solver.h).
-  mutable solver::LpSolver coop_solver_;
-  mutable solver::LpSolver noncoop_solver_;
+  /// Persistent solver, the owner of the working LP: kept alive across
+  /// allocate() calls so the lazy envy loop dual-simplex-resolves within a
+  /// call and same-shaped models across calls reuse the previous optimal
+  /// basis (see solver/lp_solver.h). One is enough: the mode is fixed.
+  mutable solver::LpSolver solver_;
   /// One envy row (envier envies envied) of the previous cooperative call's
   /// final relaxation, recycled into the next call's initial relaxation.
   /// Stored as stable IDs: the caller's user_ids when provided, row indices

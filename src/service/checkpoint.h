@@ -27,9 +27,10 @@ namespace oef::service {
 
 /// Current checkpoint format version. Bump on any payload schema change;
 /// load_checkpoint() rejects versions it does not know. Version 2 dropped the
-/// LP model from the allocator's warm state (the solvers carry only their
-/// basis identity), so a version-1 file is refused.
-inline constexpr std::uint64_t kCheckpointVersion = 2;
+/// LP model from the allocator's warm state (only the basis identity), and
+/// version 3 carries one solver identity instead of one per allocator mode,
+/// so older files are refused.
+inline constexpr std::uint64_t kCheckpointVersion = 3;
 
 /// Writes `payload` to `path` atomically (tmp + fsync + rename). Throws
 /// common::CheckError(kBadState) on I/O failure.

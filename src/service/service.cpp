@@ -400,6 +400,17 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
     PendingOp& op = *batch[i];
+    // Only this thread writes applied_ids_, so it reads it without mu_.
+    if (op.request.request_id != 0 && applied_ids_.count(op.request.request_id) != 0) {
+      // A retry admitted while its original was still queued: never apply
+      // it twice. It is answered like an applied op of this batch, so a copy
+      // of an op applied just above gets exactly what the original gets.
+      outcomes[i].message = "duplicate request id; already applied";
+      outcomes[i].applied = true;
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.duplicates_served;
+      continue;
+    }
     if (op.deadline.expired()) {
       outcomes[i].status = StatusCode::kDeadlineExpired;
       outcomes[i].message = "deadline expired while queued";

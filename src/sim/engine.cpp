@@ -1,15 +1,14 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include "common/clock.h"
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <set>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/logging.h"
 #include "core/speedup_matrix.h"
 #include "sched/registry.h"
@@ -58,24 +57,9 @@ SimResult SimulationEngine::run() {
   SimResult result;
   const std::size_t k = cluster_->num_gpu_types();
 
-  // Unified churn stream: explicit events plus the legacy knobs (forced
-  // exits, misreports) folded into the same ordered sequence.
+  // The churn stream, in round order (stable: same-round events keep the
+  // caller's order).
   std::vector<ClusterEvent> events = options_.events;
-  for (const auto& [tenant_id, exit_round] : options_.forced_exit_round) {
-    ClusterEvent event;
-    event.round = exit_round;
-    event.kind = ClusterEventKind::kTenantDeparture;
-    event.tenant = tenant_id;
-    events.push_back(event);
-  }
-  for (const CheatSpec& cheat : options_.cheats) {
-    ClusterEvent event;
-    event.round = cheat.from_round;
-    event.kind = ClusterEventKind::kMisreport;
-    event.tenant = cheat.tenant;
-    event.factor = cheat.factor;
-    events.push_back(event);
-  }
   std::stable_sort(events.begin(), events.end(),
                    [](const ClusterEvent& a, const ClusterEvent& b) {
                      return a.round < b.round;
@@ -285,18 +269,6 @@ SimResult SimulationEngine::run() {
     const double solve_seconds =
         common::monotonic_seconds() - solve_start;
     const sched::SchedulerTelemetry telemetry_after = scheduler->telemetry();
-    if (std::getenv("OEF_TRACE_ROUNDS") != nullptr) {
-      std::fprintf(stderr,
-                   "round=%zu events=%zu n=%zu pivots=%zu cold=%zu warm=%zu "
-                   "repairs=%zu\n",
-                   round, events_applied, keys.size(),
-                   telemetry_after.lp_iterations - telemetry_before.lp_iterations,
-                   telemetry_after.lp_cold_solves - telemetry_before.lp_cold_solves,
-                   telemetry_after.lp_warm_resolves + telemetry_after.lp_warm_start_hits -
-                       telemetry_before.lp_warm_resolves -
-                       telemetry_before.lp_warm_start_hits,
-                   telemetry_after.lp_basis_repairs - telemetry_before.lp_basis_repairs);
-    }
     const double oracle_seconds =
         telemetry_after.oracle_seconds - telemetry_before.oracle_seconds;
     result.total_solve_seconds += solve_seconds;
@@ -452,8 +424,7 @@ std::vector<double> SimulationEngine::reported_speedups(const workload::Job& job
     }
   }
 
-  // Misreports in effect (fed from the unified event stream; SimOptions::
-  // cheats entries arrive here as kMisreport events).
+  // Misreports in effect (kMisreport events of the churn stream).
   for (const CheatSpec& cheat : active_cheats_) {
     if (cheat.tenant != job.tenant || round < cheat.from_round) continue;
     for (std::size_t j = 1; j < speeds.size(); ++j) {

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +30,7 @@
 
 namespace oef::sim {
 
+/// A misreport in effect, recorded from a kMisreport event.
 struct CheatSpec {
   workload::TenantId tenant = 0;
   /// Multiplier applied to the tenant's reported speedups on every non-base
@@ -60,16 +60,10 @@ struct SimOptions {
   double multi_gpu_scaling = 0.95;
   double migration_seconds = 30.0;
 
-  /// Misreporting tenants (Fig. 4b). Folded into the unified event stream at
-  /// run() start (one kMisreport event per entry); kept for compatibility.
-  std::vector<CheatSpec> cheats;
-  /// Tenants forced to leave (round index); their unfinished jobs are
-  /// cancelled (Fig. 4's user-4 exit). Folded into the event stream as
-  /// kTenantDeparture events; kept for compatibility.
-  std::map<workload::TenantId, std::size_t> forced_exit_round;
-
-  /// Dynamic-cluster mode: churn events applied at the top of their round
-  /// (see sim/events.h; generate_event_schedule builds seeded schedules).
+  /// Churn events applied at the top of their round (see sim/events.h;
+  /// generate_event_schedule builds seeded schedules): tenant arrivals and
+  /// departures (Fig. 4's user exit), misreports (Fig. 4b), demand bursts,
+  /// device failures and mix drift.
   std::vector<ClusterEvent> events;
   /// Options threaded into the OEF schedulers (solve deadline, solver knobs);
   /// baselines ignore them.

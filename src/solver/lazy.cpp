@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/clock.h"
 #include "common/logging.h"
 
 namespace oef::solver {
@@ -25,30 +24,14 @@ double constraint_slack(const Constraint& constraint, const std::vector<double>&
 
 }  // namespace
 
-LazySolveResult LazyConstraintSolver::solve(LpModel& model,
-                                            const SeparationOracle& oracle) const {
-  LpSolver solver(options_);
-  return solve(solver, model, oracle);
-}
-
-LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
+LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel model,
                                             const SeparationOracle& oracle) const {
   LazySolveResult result;
-  const double seconds_before = solver.stats().solve_seconds;
-  // One absolute monotonic expiry instant for the whole loop: the caller's
-  // absolute deadline (anchored at request arrival) and the relative budget
-  // (anchored here) collapse to whichever expires first, and every round
-  // checks that single instant — no per-layer re-anchoring, no wall clock.
-  common::Deadline deadline = deadline_;
-  if (deadline_seconds_ > 0.0) {
-    deadline = common::Deadline::earlier(deadline, common::Deadline::after(deadline_seconds_));
-  }
-  bool cold_reload = false;
   for (result.rounds = 1; result.rounds <= max_rounds_; ++result.rounds) {
     // Anytime behaviour: once a relaxation optimum exists, an expired
     // deadline hands it back instead of separating further. Round 1 always
     // runs — without it there is nothing feasible to return at all.
-    if (result.rounds > 1 && deadline.expired()) {
+    if (result.rounds > 1 && deadline_.expired()) {
       result.deadline_expired = true;
       --result.rounds;  // the aborted round never ran
       common::log_debug("lazy solver: deadline expired after " +
@@ -56,12 +39,10 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
                         "last relaxation optimum");
       return result;
     }
-    // Round 1 loads the model (possibly reusing the basis of a previous
-    // same-shaped session); later rounds repair the basis incrementally,
-    // except right after a compaction, which changed the model's shape.
-    result.solution =
-        (result.rounds == 1 || cold_reload) ? solver.solve(model) : solver.resolve();
-    cold_reload = false;
+    // Round 1 hands the model to the solver (possibly reusing the basis of a
+    // previous same-shaped session); later rounds reoptimise the solver's
+    // model incrementally — cold when a compaction's excision was refused.
+    result.solution = result.rounds == 1 ? solver.solve(std::move(model)) : solver.resolve();
     result.total_iterations += result.solution.iterations;
     if (result.rounds > 1 && result.solution.warm_started) {
       ++result.warm_rounds;
@@ -69,7 +50,6 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
     } else {
       result.cold_iterations += result.solution.iterations;
     }
-    result.solve_seconds = solver.stats().solve_seconds - seconds_before;
     if (!result.solution.optimal()) return result;
 
     std::vector<Constraint> violated = oracle(result.solution.values);
@@ -79,19 +59,18 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
     }
     result.rows_added += violated.size();
 
-    if (compaction_ && max_rows_ > 0 &&
-        model.num_constraints() + violated.size() > max_rows_) {
+    const std::vector<Constraint>& constraints = solver.model().constraints();
+    if (compaction_ && max_rows_ > 0 && constraints.size() + violated.size() > max_rows_) {
       // Shrink the relaxation: drop every row past the permanent prefix that
       // is loose at the current optimum. A loose row's slack is basic, so
       // the solver can excise the rows while the factorised basis, vertex
       // and duals survive — the new violations then append onto the warm
-      // basis as usual. If the in-place excision is refused the loop falls
-      // back to the original behaviour: reload the shrunken model cold.
+      // basis as usual. A refused excision leaves the solver without a
+      // basis, and the next resolve() cold-solves the shrunken model.
       // A permanent prefix longer than the model is caller misconfiguration
       // of enable_compaction — recoverable, so throw instead of aborting.
-      OEF_REQUIRE_MSG(permanent_rows_ <= model.num_constraints(),
+      OEF_REQUIRE_MSG(permanent_rows_ <= constraints.size(),
                       "compaction permanent_rows exceeds the working model");
-      const auto& constraints = model.constraints();
       std::vector<std::size_t> drop;
       for (std::size_t c = permanent_rows_; c < constraints.size(); ++c) {
         if (constraint_slack(constraints[c], result.solution.values) >
@@ -102,22 +81,15 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel& model,
       if (!drop.empty()) {
         ++result.compactions;
         const bool warm = solver.delete_rows(drop);
-        model.remove_constraints(drop);
-        if (warm) {
-          ++result.warm_compactions;
-        } else {
-          cold_reload = true;
-        }
+        if (warm) ++result.warm_compactions;
         result.rows_dropped += drop.size();
         common::log_debug("lazy solver: round " + std::to_string(result.rounds) +
                           " compacted relaxation (" + (warm ? "warm" : "cold") +
                           "), dropped " + std::to_string(drop.size()) + " rows (" +
-                          std::to_string(model.num_constraints()) + " remain)");
+                          std::to_string(solver.model().num_constraints()) + " remain)");
       }
     }
 
-    // Keep the caller's model in sync with the solver's internal copy.
-    for (const Constraint& constraint : violated) model.add_constraint(constraint);
     solver.add_rows(violated);
     common::log_debug("lazy solver: round " + std::to_string(result.rounds) + " added " +
                       std::to_string(violated.size()) + " rows");

@@ -6,12 +6,14 @@
 // separation oracle for rows violated by the current optimum, adds them, and
 // re-solves until the oracle is satisfied.
 //
-// Round 1 is a full solve; every later round reoptimises incrementally: the
-// violated rows are appended to the stateful LpSolver via add_rows() and the
-// previous optimal basis is repaired with dual-simplex pivots (resolve())
-// instead of a cold two-phase re-solve. With SolverOptions::algorithm ==
-// LpAlgorithm::kTableau every round degrades to the original cold re-solve,
-// which serves as the reference behaviour.
+// The caller's LpSolver owns the working relaxation: round 1 hands it the
+// model, and every later round edits and reoptimises it in place — the
+// violated rows are appended via add_rows() and the previous optimal basis is
+// repaired with dual-simplex pivots (resolve()) instead of a cold two-phase
+// re-solve. LpSolver::model() is the only copy of the relaxation, before and
+// after the call. With SolverOptions::algorithm == LpAlgorithm::kTableau
+// every round degrades to the original cold re-solve, which serves as the
+// reference behaviour.
 #pragma once
 
 #include <functional>
@@ -40,7 +42,7 @@ struct LazySolveResult {
   std::size_t rows_dropped = 0;
   /// Relaxation compactions performed, and how many of them kept the basis
   /// warm (rows excised in place via LpSolver::delete_rows) instead of
-  /// forcing a cold reload of the shrunken model.
+  /// leaving the next round a cold solve of the shrunken model.
   std::size_t compactions = 0;
   std::size_t warm_compactions = 0;
   /// True when the final solution satisfies the oracle.
@@ -57,14 +59,11 @@ struct LazySolveResult {
   std::size_t cold_iterations = 0;
   /// Pivots spent in warm resolves.
   std::size_t warm_iterations = 0;
-  /// Wall-clock seconds spent inside the LP solver (oracle time excluded).
-  double solve_seconds = 0.0;
 };
 
 class LazyConstraintSolver {
  public:
-  explicit LazyConstraintSolver(SolverOptions options = {}, std::size_t max_rounds = 200)
-      : options_(options), max_rounds_(max_rounds) {}
+  explicit LazyConstraintSolver(std::size_t max_rounds = 200) : max_rounds_(max_rounds) {}
 
   /// Enables relaxation compaction. Generated rows are transient: a row that
   /// cut off an early relaxed optimum is usually slack a few rounds later,
@@ -74,10 +73,10 @@ class LazyConstraintSolver {
   /// `permanent_rows` whose slack at the current optimum exceeds `slack_tol`
   /// is dropped. A loose row's slack is basic, so LpSolver::delete_rows can
   /// excise the rows while the basis and vertex survive — the loop continues
-  /// with a warm dual-simplex resolve instead of the cold re-solve that
-  /// compaction used to force (the cold reload remains as the fallback).
-  /// Dropped rows that become violated again are simply re-separated by the
-  /// oracle.
+  /// with a warm dual-simplex resolve instead of a cold re-solve (when the
+  /// solver refuses the excision, the next resolve() cold-solves the
+  /// shrunken model). Dropped rows that become violated again are simply
+  /// re-separated by the oracle.
   void enable_compaction(std::size_t permanent_rows, std::size_t max_rows,
                          double slack_tol = 1e-5) {
     permanent_rows_ = permanent_rows;
@@ -86,38 +85,29 @@ class LazyConstraintSolver {
     compaction_ = true;
   }
 
-  /// Monotonic-clock budget for one solve() call, in seconds; 0 disables the
-  /// deadline. The budget is anchored at solve() entry. Checked between
-  /// rounds: once a first relaxation optimum exists, an expired deadline
-  /// returns it immediately (deadline_expired set, converged false) instead
-  /// of separating further — the anytime behaviour the scheduler's
-  /// degradation ladder builds on.
-  void set_deadline(double seconds) { deadline_seconds_ = seconds; }
-
-  /// Absolute monotonic deadline (see common/clock.h), for callers whose
-  /// budget started before solve() — the daemon anchors it at request
-  /// arrival so queueing and coalescing delay draw down the same budget.
-  /// Composes with the relative budget: the earlier instant wins.
+  /// Absolute monotonic deadline (see common/clock.h) for the solve() calls
+  /// that follow; none() (the default) disables it. Checked between rounds:
+  /// once a first relaxation optimum exists, an expired deadline returns it
+  /// immediately (deadline_expired set, converged false) instead of
+  /// separating further — the anytime behaviour the scheduler's degradation
+  /// ladder builds on. The daemon anchors it at request arrival, so queueing
+  /// and coalescing delay draw down the same budget.
   void set_deadline(common::Deadline deadline) { deadline_ = deadline; }
 
-  /// Solves `model` (which is extended in place with the generated rows)
-  /// using a throwaway solver instance.
-  [[nodiscard]] LazySolveResult solve(LpModel& model, const SeparationOracle& oracle) const;
-
-  /// Same, but through a caller-owned persistent solver: the solver keeps its
-  /// basis across calls, so a later session over a same-shaped model (the
-  /// round-over-round case in the simulator) warm-starts too.
-  [[nodiscard]] LazySolveResult solve(LpSolver& solver, LpModel& model,
+  /// Solves `model` through `solver`, which takes it over as the working
+  /// relaxation: generated rows are appended to, and compacted rows excised
+  /// from, solver.model(). The solver keeps its basis across calls, so a
+  /// later session over a same-shaped model (the round-over-round case in
+  /// the simulator) warm-starts too.
+  [[nodiscard]] LazySolveResult solve(LpSolver& solver, LpModel model,
                                       const SeparationOracle& oracle) const;
 
  private:
-  SolverOptions options_;
   std::size_t max_rounds_;
   bool compaction_ = false;
   std::size_t permanent_rows_ = 0;
   std::size_t max_rows_ = 0;
   double compaction_slack_tol_ = 1e-5;
-  double deadline_seconds_ = 0.0;
   common::Deadline deadline_ = common::Deadline::none();
 };
 

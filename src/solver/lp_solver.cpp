@@ -1191,51 +1191,46 @@ LpSolution LpSolver::solve_loaded_cold() {
   // simplex (whose refactorisations repair deficient bases in place); (2)
   // the reference full-tableau solver, which shares no basis machinery at
   // all — and never consults the fault injector — so it terminates the
-  // ladder.
+  // ladder. Tableau mode enters at (2).
   ++stats_.cold_solves;
-  auto core = std::make_unique<Core>();
-  core->load(model_, options_);
-  LpSolution solution;
-  solution.status = core->run_cold(options_);
-  stats_.total_iterations += core->iterations();
-  stats_.basis_repairs += core->take_basis_repairs();
-  if (solution.status == SolveStatus::kOptimal) {
-    core->extract(model_, solution);
-    if (model_.is_feasible(solution.values, 1e-6)) {
-      core_ = std::move(core);
-      incremental_ok_ = true;
-      return solution;
-    }
-  }
-  // The revised solve failed or produced an unverifiable point: reference
-  // tableau. Dramatically slower on large models, so its trigger is worth a
-  // log line (to_string names the revised outcome).
-  common::log_debug("lp_solver: revised cold solve failed (" + to_string(solution.status) +
-                    "); falling back to the reference tableau");
-  ++stats_.tableau_fallbacks;
   core_.reset();
   incremental_ok_ = false;
+  LpSolution solution;
+  if (options_.algorithm == LpAlgorithm::kRevised) {
+    auto core = std::make_unique<Core>();
+    core->load(model_, options_);
+    solution.status = core->run_cold(options_);
+    stats_.total_iterations += core->iterations();
+    stats_.basis_repairs += core->take_basis_repairs();
+    if (solution.status == SolveStatus::kOptimal) {
+      core->extract(model_, solution);
+      if (model_.is_feasible(solution.values, 1e-6)) {
+        core_ = std::move(core);
+        incremental_ok_ = true;
+        return solution;
+      }
+    }
+    // The revised solve failed or produced an unverifiable point: reference
+    // tableau. Dramatically slower on large models, so its trigger is worth
+    // a log line (to_string names the revised outcome).
+    common::log_debug("lp_solver: revised cold solve failed (" +
+                      to_string(solution.status) + "); falling back to the reference tableau");
+    ++stats_.tableau_fallbacks;
+  }
   solution = SimplexSolver(options_).solve(model_);
   stats_.total_iterations += solution.iterations;
   return solution;
 }
 
-LpSolution LpSolver::solve(const LpModel& model) {
+LpSolution LpSolver::solve(LpModel model) {
   const double start = common::monotonic_seconds();
   const std::optional<LpWarmState> prior = export_warm_state();
   imported_.reset();
-  model_ = model;
+  model_ = std::move(model);
   core_.reset();
   incremental_ok_ = false;
 
-  if (options_.algorithm == LpAlgorithm::kTableau) {
-    LpSolution solution = SimplexSolver(options_).solve(model_);
-    ++stats_.cold_solves;
-    stats_.total_iterations += solution.iterations;
-    stats_.solve_seconds += seconds_since(start);
-    return solution;
-  }
-
+  // Tableau mode never holds or imports an identity, so `prior` is empty.
   if (options_.warm_start && prior.has_value()) {
     auto core = std::make_unique<Core>();
     core->load(model_, options_);
@@ -1276,7 +1271,7 @@ bool LpSolver::delete_rows(const std::vector<std::size_t>& row_indices) {
   }
 
   bool warm = false;
-  if (options_.algorithm != LpAlgorithm::kTableau && core_ && incremental_ok_) {
+  if (core_ && incremental_ok_) {
     warm = core_->delete_rows(sorted);
     stats_.basis_repairs += core_->take_basis_repairs();
     if (!warm) {
@@ -1297,7 +1292,6 @@ std::size_t LpSolver::add_rows(const std::vector<Constraint>& rows) {
   for (const Constraint& constraint : rows) {
     const std::size_t index = model_.add_constraint(constraint);
     ++accepted;
-    if (options_.algorithm == LpAlgorithm::kTableau) continue;
     if (!core_ || !incremental_ok_) continue;
     if (constraint.relation == Relation::kEqual) {
       // Equality rows are not dual-warm-startable from a slack basis; degrade
@@ -1313,36 +1307,26 @@ std::size_t LpSolver::add_rows(const std::vector<Constraint>& rows) {
 LpSolution LpSolver::resolve() {
   const double start = common::monotonic_seconds();
   imported_.reset();
-  if (options_.algorithm == LpAlgorithm::kTableau || !core_ || !incremental_ok_) {
+  // Tableau mode never holds a core, so it always takes the cold path.
+  if (core_ && incremental_ok_) {
     LpSolution solution;
-    if (options_.algorithm == LpAlgorithm::kTableau) {
-      solution = SimplexSolver(options_).solve(model_);
-      ++stats_.cold_solves;
-      stats_.total_iterations += solution.iterations;
-    } else {
-      solution = solve_loaded_cold();
+    solution.status = core_->run_resolve(options_);
+    stats_.total_iterations += core_->iterations();
+    stats_.basis_repairs += core_->take_basis_repairs();
+    if (solution.status == SolveStatus::kOptimal) {
+      core_->extract(model_, solution);
+      if (model_.is_feasible(solution.values, 1e-6)) {
+        solution.warm_started = true;
+        ++stats_.warm_resolves;
+        stats_.solve_seconds += seconds_since(start);
+        return solution;
+      }
     }
-    stats_.solve_seconds += seconds_since(start);
-    return solution;
+    // Warm resolve failed (numerics, iteration limit, or claimed infeasible
+    // — which a tightened relaxation can legitimately be, but is cheap to
+    // confirm): cold-solve the extended model.
   }
-
-  LpSolution solution;
-  solution.status = core_->run_resolve(options_);
-  stats_.total_iterations += core_->iterations();
-  stats_.basis_repairs += core_->take_basis_repairs();
-  if (solution.status == SolveStatus::kOptimal) {
-    core_->extract(model_, solution);
-    if (model_.is_feasible(solution.values, 1e-6)) {
-      solution.warm_started = true;
-      ++stats_.warm_resolves;
-      stats_.solve_seconds += seconds_since(start);
-      return solution;
-    }
-  }
-  // Warm resolve failed (numerics, iteration limit, or claimed infeasible —
-  // which a tightened relaxation can legitimately be, but is cheap to
-  // confirm): cold-solve the extended model.
-  solution = solve_loaded_cold();
+  LpSolution solution = solve_loaded_cold();
   stats_.solve_seconds += seconds_since(start);
   return solution;
 }

@@ -91,9 +91,10 @@ class LpSolver {
   LpSolver(LpSolver&&) noexcept;
   LpSolver& operator=(LpSolver&&) noexcept;
 
-  /// Loads `model` (copied) and solves it. Reuses the previous optimal basis
-  /// when the shape matches (see header comment); otherwise solves cold.
-  [[nodiscard]] LpSolution solve(const LpModel& model);
+  /// Takes `model` as the loaded model and solves it. Reuses the previous
+  /// optimal basis when the shape matches (see header comment); otherwise
+  /// solves cold. Pass an rvalue to hand the model over without a copy.
+  [[nodiscard]] LpSolution solve(LpModel model);
 
   /// Appends constraints to the loaded model. Only valid after a solve().
   /// Returns the number of rows accepted. Inequality rows are staged for
@@ -143,8 +144,9 @@ class LpSolver {
   class Core;
 
   /// Cold-solves the currently loaded model_ down the degradation ladder
-  /// (revised, then the reference tableau), updating stats. Does not attempt
-  /// any warm start.
+  /// (revised, then the reference tableau; tableau mode starts at the
+  /// tableau), updating stats. Does not attempt any warm start; the one
+  /// entry of both solve() and resolve() into the cold path.
   [[nodiscard]] LpSolution solve_loaded_cold();
 
   SolverOptions options_;

@@ -6,6 +6,7 @@
 // on the bit-identical allocation of an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/serial.h"
 #include "service/checkpoint.h"
 #include "service/service.h"
 
@@ -126,6 +128,38 @@ TEST(AllocatorService, DuplicateRequestIdsApplyOnce) {
   // A different id with the same content is a real (conflicting) add.
   EXPECT_EQ(service.handle(add_tenant("alice", {1.0, 2.0, 3.0}, 1.0, 2222)).status,
             StatusCode::kAlreadyExists);
+}
+
+TEST(AllocatorService, QueuedDuplicateAppliesOnce) {
+  // A client retry (same id) admitted while the original is still queued:
+  // the window holds the first remove, the copy queues behind it, and both
+  // land in one batch. The copy must not be applied a second time (it would
+  // answer not_found for a remove that took effect).
+  ServiceOptions options = base_options();
+  options.coalesce_window_seconds = 0.3;
+  AllocatorService service(options);
+  ASSERT_EQ(service.handle(add_tenant("alice", {1.0, 2.0, 3.0})).status, StatusCode::kOk);
+  ASSERT_EQ(service.handle(add_tenant("bob", {1.0, 1.5, 1.6})).status, StatusCode::kOk);
+
+  Request remove;
+  remove.type = MessageType::kRemoveTenant;
+  remove.request_id = 77;
+  remove.tenant = "alice";
+  std::vector<Response> responses(2);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < 2; ++i) {
+    threads.emplace_back([&service, &responses, &remove, i] {
+      responses[i] = service.handle(remove);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (const Response& response : responses) {
+    EXPECT_EQ(response.status, StatusCode::kOk) << response.message;
+  }
+  EXPECT_EQ(service.stats().duplicates_served, 1u);
+  EXPECT_EQ(service.snapshot()->tenants, (std::vector<std::string>{"bob"}));
 }
 
 TEST(AllocatorService, OverloadShedsWithLastGoodSnapshot) {
@@ -416,6 +450,39 @@ TEST(ServiceCheckpointContainer, RoundTripAndTamperDetection) {
   try {
     (void)load_checkpoint(path);
     FAIL();
+  } catch (const common::CheckError& error) {
+    EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ServiceCheckpointContainer, RefusesAnOlderFormatVersion) {
+  // A well-formed container (magic, size, checksum all valid) is accepted
+  // only at the current version; version 2 carried one solver identity per
+  // allocator mode and must be refused, not misread.
+  const std::string path = ::testing::TempDir() + "/oef_ckpt_version";
+  const std::string payload = "7 tokens of a payload";
+  const auto write_container = [&](std::uint64_t version) {
+    common::SerialWriter header;
+    header.u64(version);
+    header.u64(payload.size());
+    header.u64(common::fnv1a64(payload));
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    const std::string bytes = "OEFCKPT1" + header.data() + payload;
+    std::fwrite(bytes.data(), 1, bytes.size(), file);
+    std::fclose(file);
+  };
+  write_container(kCheckpointVersion);
+  const auto current = load_checkpoint(path);
+  ASSERT_TRUE(current.has_value());
+  EXPECT_EQ(*current, payload);
+
+  ASSERT_EQ(kCheckpointVersion, 3u);
+  write_container(2);
+  try {
+    (void)load_checkpoint(path);
+    FAIL() << "a version-2 checkpoint must be refused";
   } catch (const common::CheckError& error) {
     EXPECT_EQ(error.code(), common::ErrorCode::kCorruptData);
   }

@@ -95,7 +95,9 @@ TEST(SimEngine, ForcedExitCancelsJobs) {
   SimOptions options;
   options.scheduler = "OEF-noncoop";
   options.max_rounds = 12;
-  options.forced_exit_round[3] = 6;  // user4 leaves mid-run (Fig. 4 scenario)
+  // user4 leaves mid-run (Fig. 4 scenario)
+  options.events.push_back(
+      {.round = 6, .kind = ClusterEventKind::kTenantDeparture, .tenant = 3});
   const SimResult result = run_with(f, trace, options);
   EXPECT_EQ(result.cancelled_jobs, 2u);
   // After the exit, tenant 3 reports no throughput.
@@ -136,10 +138,9 @@ TEST(SimEngine, CheatingTenantIsPenalisedUnderNonCoop) {
   const SimResult honest = run_with(f, trace, honest_options);
 
   SimOptions cheat_options = honest_options;
-  CheatSpec cheat;
-  cheat.tenant = 3;  // the LSTM tenant inflates its (already steep) speedups
-  cheat.factor = 1.3;
-  cheat_options.cheats.push_back(cheat);
+  // The LSTM tenant inflates its (already steep) speedups.
+  cheat_options.events.push_back(
+      {.round = 0, .kind = ClusterEventKind::kMisreport, .tenant = 3, .factor = 1.3});
   const SimResult cheated = run_with(f, trace, cheat_options);
 
   const auto mean_tail = [](const std::vector<double>& series) {
