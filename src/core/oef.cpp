@@ -357,15 +357,20 @@ AllocationResult OefAllocator::solve_cooperative(
       model.add_constraint(envy_row(speedups, multiplicities, l, i));
     }
   };
-  // The pool stores stable-ID pairs. With caller-provided ids, pairs whose
-  // both endpoints survived churn are mapped back to current row indices and
-  // recycled even though n changed; departed/unknown ids are skipped (and an
-  // id stored by a legacy identity-keyed call is harmless — seed_pair bounds-
-  // checks). The legacy path keeps its same-n guard.
-  if (options_.recycle_envy_rows && !user_ids.empty()) {
+  // The pool stores stable-ID pairs: pairs whose both endpoints survived
+  // churn are mapped back to current row indices and recycled even though n
+  // changed; departed/unknown ids are skipped. A call without ids names its
+  // users by row index (ids 0..n-1); row indices name different users once n
+  // changes, so such a call then seeds nothing from the pool.
+  std::vector<std::size_t> ids = user_ids;
+  if (ids.empty()) {
+    ids.resize(n);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+  }
+  if (options_.recycle_envy_rows && (!user_ids.empty() || n == envy_pool_users_)) {
     std::unordered_map<std::size_t, std::size_t> index_of_id;
     index_of_id.reserve(n);
-    for (std::size_t l = 0; l < n; ++l) index_of_id.emplace(user_ids[l], l);
+    for (std::size_t l = 0; l < n; ++l) index_of_id.emplace(ids[l], l);
     // When the user set is unchanged (same n, every pooled id still present)
     // the full pool is reseeded in order: the model then has the shape of the
     // previous call's final model and the solver reuses its optimal basis.
@@ -386,8 +391,6 @@ AllocationResult OefAllocator::solve_cooperative(
         seed_pair(a->second, b->second);
       }
     }
-  } else if (options_.recycle_envy_rows && user_ids.empty() && envy_pool_users_ == n) {
-    for (const PooledEnvyRow& row : envy_pool_) seed_pair(row.envier, row.envied);
   }
   if (model.num_constraints() == base_rows && options_.seed_adjacent_envy_rows) {
     // Cold start: at the optimum envy binds densely between users adjacent
@@ -475,12 +478,10 @@ AllocationResult OefAllocator::solve_cooperative(
   };
 
   solver::LazyConstraintSolver lazy(options_.max_lazy_rounds);
-  if (options_.max_envy_rows_total != SIZE_MAX) {
-    const std::size_t envy_budget = options_.max_envy_rows_total != 0
-                                        ? options_.max_envy_rows_total
-                                        : std::max<std::size_t>(16 * n, 512);
-    lazy.enable_compaction(base_rows, base_rows + envy_budget);
-  }
+  const std::size_t envy_budget = options_.max_envy_rows_total != 0
+                                      ? options_.max_envy_rows_total
+                                      : std::max<std::size_t>(16 * n, 512);
+  lazy.enable_compaction(base_rows, base_rows + envy_budget);
   lazy.set_deadline(options_.deadline);
   const solver::LazySolveResult lazy_result = lazy.solve(solver_, std::move(model), oracle);
   result.status = lazy_result.solution.status;
@@ -537,8 +538,8 @@ AllocationResult OefAllocator::solve_cooperative(
       if (pooled[l * n + i]) continue;
       pooled[l * n + i] = 1;
       PooledEnvyRow row;
-      row.envier = user_ids.empty() ? l : user_ids[l];
-      row.envied = user_ids.empty() ? i : user_ids[i];
+      row.envier = ids[l];
+      row.envied = ids[i];
       // Tight at the optimum (own efficiency == envied efficiency, up to the
       // solver's feasibility tolerance) — the rows worth seeding into a
       // differently-shaped next call.

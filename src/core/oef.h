@@ -40,8 +40,7 @@ struct OefOptions {
   /// optimum are dropped and the shrunken model re-solved. This is a safety
   /// ceiling against pathological row growth, not an aggressive limit — a
   /// tight budget makes the lazy loop thrash (dropped rows are genuinely
-  /// re-violated and must be rediscovered). 0 = automatic (max(16n, 512));
-  /// SIZE_MAX disables compaction entirely.
+  /// re-violated and must be rediscovered). 0 = automatic (max(16n, 512)).
   std::size_t max_envy_rows_total = 0;
   /// Worker threads for the O(n^2 k) envy separation oracle. 0 = automatic
   /// (hardware concurrency, capped at 8, engaged only at n >= 64); 1 forces

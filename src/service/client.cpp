@@ -118,8 +118,7 @@ Response AllocatorClient::call(Request request) {
       // lockstep against an overloaded daemon.
       const double sleep_seconds = backoff * (0.5 + 0.5 * rng_.uniform());
       std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
-      backoff = std::min(backoff * options_.backoff_multiplier,
-                         options_.max_backoff_seconds);
+      backoff = std::min(2.0 * backoff, options_.max_backoff_seconds);
     }
     if (!ensure_connected()) continue;
     std::string wire = frame;

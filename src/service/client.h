@@ -29,8 +29,8 @@ struct ClientOptions {
   std::string socket_path;
   /// Total send attempts per call (first try + retries).
   std::size_t max_attempts = 5;
+  /// Retry backoff: doubles after each attempt, capped at the maximum.
   double initial_backoff_seconds = 0.01;
-  double backoff_multiplier = 2.0;
   double max_backoff_seconds = 0.5;
   /// How long one attempt waits for its matching response.
   double response_timeout_seconds = 1.0;

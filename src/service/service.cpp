@@ -14,6 +14,9 @@ namespace oef::service {
 
 namespace {
 
+/// Applied request-ids remembered for idempotency (FIFO eviction).
+constexpr std::size_t kDedupCapacity = 4096;
+
 [[nodiscard]] std::shared_ptr<const WireSnapshot> empty_snapshot() {
   auto snapshot = std::make_shared<WireSnapshot>();
   snapshot->version = 0;
@@ -309,7 +312,7 @@ void AllocatorService::record_applied(std::uint64_t request_id) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!applied_ids_.insert(request_id).second) return;
   applied_order_.push_back(request_id);
-  while (applied_order_.size() > options_.dedup_capacity) {
+  while (applied_order_.size() > kDedupCapacity) {
     applied_ids_.erase(applied_order_.front());
     applied_order_.pop_front();
   }
@@ -397,11 +400,16 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
   std::vector<OpOutcome> outcomes(batch.size());
   bool any_applied = false;
   common::Deadline batch_deadline = common::Deadline::none();
+  // Ids applied by this batch. They join applied_ids_ only once the batch is
+  // durable, so handle() never acknowledges a retry of a lost update.
+  std::vector<std::uint64_t> batch_ids;
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
     PendingOp& op = *batch[i];
+    const std::uint64_t id = op.request.request_id;
     // Only this thread writes applied_ids_, so it reads it without mu_.
-    if (op.request.request_id != 0 && applied_ids_.count(op.request.request_id) != 0) {
+    if (id != 0 && (applied_ids_.count(id) != 0 ||
+                    std::find(batch_ids.begin(), batch_ids.end(), id) != batch_ids.end())) {
       // A retry admitted while its original was still queued: never apply
       // it twice. It is answered like an applied op of this batch, so a copy
       // of an op applied just above gets exactly what the original gets.
@@ -423,7 +431,7 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
       outcomes[i].applied = true;
       any_applied = true;
       batch_deadline = common::Deadline::earlier(batch_deadline, op.deadline);
-      record_applied(op.request.request_id);
+      if (id != 0) batch_ids.push_back(id);
     }
   }
 
@@ -439,7 +447,7 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
   std::string checkpoint_message;
   if (any_applied && !options_.checkpoint_path.empty()) {
     try {
-      write_checkpoint(options_.checkpoint_path, serialize_state());
+      write_checkpoint(options_.checkpoint_path, serialize_state(batch_ids));
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.checkpoints_written;
     } catch (const common::CheckError& error) {
@@ -447,6 +455,9 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
       checkpoint_message = error.what();
       common::log_warn(std::string("service checkpoint write failed: ") + error.what());
     }
+  }
+  if (checkpoint_ok) {
+    for (const std::uint64_t id : batch_ids) record_applied(id);
   }
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -469,7 +480,8 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
   }
 }
 
-std::string AllocatorService::serialize_state() const {
+std::string AllocatorService::serialize_state(
+    const std::vector<std::uint64_t>& batch_ids) const {
   common::SerialWriter out;
   out.u64(version_);
   out.u64(next_tenant_id_);
@@ -481,6 +493,11 @@ std::string AllocatorService::serialize_state() const {
     out.f64_vec(tenant.demand);
   }
   std::vector<std::uint64_t> applied(applied_order_.begin(), applied_order_.end());
+  applied.insert(applied.end(), batch_ids.begin(), batch_ids.end());
+  if (applied.size() > kDedupCapacity) {
+    applied.erase(applied.begin(),
+                  applied.end() - static_cast<std::ptrdiff_t>(kDedupCapacity));
+  }
   out.u64_vec(applied);
   write_wire_snapshot(out, *snapshot_.load());
   allocator_.save_warm_state(out);

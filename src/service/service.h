@@ -23,10 +23,12 @@
 //     configurable wait window for stragglers) and runs one warm resolve for
 //     the whole batch — under a burst of updates the solver sees one model
 //     edit, not one per request.
-//   * Idempotency. Applied mutation request-ids are remembered (bounded
-//     FIFO) and persisted in the checkpoint; a retried duplicate is answered
-//     kOk with the current snapshot instead of being applied twice — across
-//     restarts too.
+//   * Idempotency. Applied mutation request-ids are remembered (a FIFO of
+//     the last 4096) once their batch is durable, and persisted in the
+//     checkpoint; a retried duplicate is answered kOk with the current
+//     snapshot instead of being applied twice — across restarts too. The id
+//     of a batch whose checkpoint failed is not remembered, so its retry is
+//     never acknowledged as applied.
 //   * Crash safety. After applying a batch the service writes a versioned
 //     checkpoint (registry, dedup ids, snapshot, allocator warm state) and
 //     only then acknowledges the batch. A kill -9 at any instant therefore
@@ -72,8 +74,6 @@ struct ServiceOptions {
   double default_deadline_seconds = 0.0;
   /// Checkpoint file; empty disables durability (and warm restore).
   std::string checkpoint_path;
-  /// Applied request-ids remembered for idempotency (FIFO eviction).
-  std::size_t dedup_capacity = 4096;
 };
 
 /// Service telemetry; snapshot via AllocatorService::stats(), exported by the
@@ -157,7 +157,9 @@ class AllocatorService {
   /// Applies one op to the registry; returns its per-op status.
   [[nodiscard]] StatusCode apply(const Request& request, std::string& message);
   void resolve_and_publish(StatusCode& quality, std::string& message);
-  [[nodiscard]] std::string serialize_state() const;
+  /// `batch_ids` are the request ids applied by the batch being
+  /// checkpointed; they join the persisted dedup ids.
+  [[nodiscard]] std::string serialize_state(const std::vector<std::uint64_t>& batch_ids) const;
   void restore_state(const std::string& payload);
   [[nodiscard]] Response make_snapshot_response(std::uint64_t request_id,
                                                 StatusCode status,

@@ -19,6 +19,15 @@ namespace oef::sim {
 
 namespace {
 
+/// Rounds run when SimOptions::max_rounds is 0 and jobs never all finish.
+constexpr std::size_t kHardRoundLimit = 20000;
+/// Execution model: throughput factor of a worker group spread over hosts,
+/// per-worker scaling of multi-GPU jobs, and the checkpoint/restore cost of a
+/// device-set change.
+constexpr double kCrossHostPenalty = 0.85;
+constexpr double kMultiGpuScaling = 0.95;
+constexpr double kMigrationSeconds = 30.0;
+
 /// Runtime state of one job inside the engine.
 struct JobState {
   std::vector<cluster::DeviceId> last_devices;
@@ -75,10 +84,8 @@ SimResult SimulationEngine::run() {
   // Solver-fault injection, threaded into the OEF schedulers' LP engine.
   // The injector outlives the scheduler (which holds a raw pointer to it).
   solver::FaultInjectorConfig fault_config;
-  fault_config.seed = options_.fault_seed;
   fault_config.eta_corruption_rate = options_.fault_eta_corruption_rate;
   fault_config.basis_fault_rate = options_.fault_basis_fault_rate;
-  fault_config.corruption_factor = options_.fault_corruption_factor;
   solver::FaultInjector injector(fault_config);
   core::OefOptions oef_options = options_.oef;
   if (fault_config.eta_corruption_rate > 0.0 || fault_config.basis_fault_rate > 0.0) {
@@ -97,15 +104,15 @@ SimResult SimulationEngine::run() {
   std::vector<workload::Job>& jobs = trace_.jobs;
   std::vector<JobState> job_state(jobs.size());
 
-  placement::DeviationRounder rounder(0, k, options_.rounding);
+  placement::DeviationRounder rounder(0, k);
   std::map<VirtualKey, std::size_t> slot_of;
   placement::Packer packer(*cluster_, options_.packer);
 
   const std::size_t round_limit =
-      options_.max_rounds > 0 ? options_.max_rounds : options_.hard_round_limit;
+      options_.max_rounds > 0 ? options_.max_rounds : kHardRoundLimit;
 
   for (std::size_t round = 0; round < round_limit; ++round) {
-    const double now = static_cast<double>(round) * options_.round_seconds;
+    const double now = static_cast<double>(round) * kRoundSeconds;
 
     // Apply the churn events due this round, before anything else: a failure
     // shrinks this very round's capacity vector, a departure frees its
@@ -340,13 +347,12 @@ SimResult SimulationEngine::run() {
           catalog_->get(gpu_names_[placement.slowest_type]);
       double per_worker_rate =
           workload::throughput_samples_per_s(model, slowest_spec, job.batch_size);
-      if (placement.cross_host) per_worker_rate *= options_.cross_host_penalty;
-      if (job.num_workers > 1) per_worker_rate *= options_.multi_gpu_scaling;
+      if (placement.cross_host) per_worker_rate *= kCrossHostPenalty;
+      if (job.num_workers > 1) per_worker_rate *= kMultiGpuScaling;
       const double steps_per_s = per_worker_rate / static_cast<double>(job.batch_size);
 
-      const double migration_delay = migrated ? options_.migration_seconds : 0.0;
-      const double effective_seconds =
-          std::max(0.0, options_.round_seconds - migration_delay);
+      const double migration_delay = migrated ? kMigrationSeconds : 0.0;
+      const double effective_seconds = std::max(0.0, kRoundSeconds - migration_delay);
       const double steps_possible = steps_per_s * effective_seconds;
       const double steps_needed = job.remaining_iterations();
 
@@ -360,7 +366,7 @@ SimResult SimulationEngine::run() {
         result.jct.push_back(job.finish_time - job.arrival_time);
         ++result.finished_jobs;
         result.makespan_seconds = std::max(result.makespan_seconds, job.finish_time);
-        busy_fraction = steps_possible > 0.0 ? finish_delay / options_.round_seconds : 0.0;
+        busy_fraction = steps_possible > 0.0 ? finish_delay / kRoundSeconds : 0.0;
       } else {
         job.completed_iterations += steps_possible;
         job.state = workload::JobState::kRunning;
@@ -396,8 +402,7 @@ SimResult SimulationEngine::run() {
   }
 
   if (result.makespan_seconds == 0.0 && !result.rounds.empty()) {
-    result.makespan_seconds =
-        result.rounds.back().time_seconds + options_.round_seconds;
+    result.makespan_seconds = result.rounds.back().time_seconds + kRoundSeconds;
   }
   result.scheduler_telemetry = scheduler->telemetry();
   result.scheduler_telemetry.merge(retired_telemetry);

@@ -1,11 +1,11 @@
 // Round-based cluster simulator.
 //
 // Reproduces the paper's experimental loop (§3.2, §6.1): every round
-// (5 minutes by default) the engine profiles the active tenants' job types,
-// asks the configured scheduler for fractional shares, integralises them with
-// the deviation rounder, packs devices onto hosts, and advances every placed
-// job by its achieved throughput. The execution model charges the penalties
-// the paper's placer is designed to avoid:
+// (kRoundSeconds, 5 minutes) the engine profiles the active tenants' job
+// types, asks the configured scheduler for fractional shares, integralises
+// them with the deviation rounder, packs devices onto hosts, and advances
+// every placed job by its achieved throughput. The execution model charges
+// the penalties the paper's placer is designed to avoid:
 //   * cross-GPU-type worker groups run at the slowest member's speed
 //     (straggler effect, §4.4),
 //   * cross-host worker groups pay a synchronisation penalty,
@@ -42,23 +42,14 @@ struct CheatSpec {
 
 struct SimOptions {
   std::string scheduler = "OEF-coop";
-  double round_seconds = 300.0;  // §6.1.1 default
-  /// 0 = run until every job finishes.
+  /// 0 = run until every job finishes (or a 20000-round safety valve).
   std::size_t max_rounds = 0;
-  /// Safety valve when max_rounds == 0.
-  std::size_t hard_round_limit = 20000;
 
-  placement::RoundingOptions rounding;
   placement::PackerOptions packer;
 
   /// Profiling error fed to the reported speedups (Fig. 10b).
   double profiling_error = 0.0;
   std::uint64_t seed = 1;
-
-  /// Execution model.
-  double cross_host_penalty = 0.85;
-  double multi_gpu_scaling = 0.95;
-  double migration_seconds = 30.0;
 
   /// Churn events applied at the top of their round (see sim/events.h;
   /// generate_event_schedule builds seeded schedules): tenant arrivals and
@@ -69,11 +60,10 @@ struct SimOptions {
   /// baselines ignore them.
   core::OefOptions oef;
   /// Deterministic solver-fault injection (eta corruption / forced basis
-  /// deficiencies inside the LP engine); zero rates disable it.
+  /// deficiencies inside the LP engine); zero rates disable it. The seed and
+  /// corruption factor are FaultInjectorConfig's defaults.
   double fault_eta_corruption_rate = 0.0;
   double fault_basis_fault_rate = 0.0;
-  double fault_corruption_factor = 1e3;
-  std::uint64_t fault_seed = 0x5eedULL;
   /// Bench arm: tear the scheduler down and rebuild it every round, so every
   /// solve runs cold (no warm basis, no recycled envy rows). Telemetry is
   /// accumulated across the per-round instances.

@@ -10,6 +10,15 @@
 
 namespace oef::sim {
 
+namespace {
+
+/// Rounds a demand burst lasts.
+constexpr std::size_t kBurstDurationRounds = 5;
+/// Jobs given to each arriving tenant.
+constexpr std::size_t kJobsPerArrival = 3;
+
+}  // namespace
+
 const char* to_string(ClusterEventKind kind) {
   switch (kind) {
     case ClusterEventKind::kTenantArrival: return "tenant_arrival";
@@ -54,8 +63,8 @@ std::vector<ClusterEvent> generate_event_schedule(const cluster::Cluster& cluste
       tenant.id = trace.tenants.size();
       tenant.name = "evt_tenant_" + std::to_string(tenant.id);
       tenant.weight = 1.0;
-      tenant.arrival_time = static_cast<double>(round) * options.round_seconds;
-      for (std::size_t j = 0; j < options.jobs_per_arrival; ++j) {
+      tenant.arrival_time = static_cast<double>(round) * kRoundSeconds;
+      for (std::size_t j = 0; j < kJobsPerArrival; ++j) {
         workload::Job job;
         job.id = trace.jobs.size();
         job.tenant = tenant.id;
@@ -98,7 +107,7 @@ std::vector<ClusterEvent> generate_event_schedule(const cluster::Cluster& cluste
       event.tenant = alive[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(alive.size()) - 1))];
       event.factor = options.burst_factor;
-      event.duration_rounds = options.burst_duration;
+      event.duration_rounds = kBurstDurationRounds;
       events.push_back(event);
     }
 

@@ -19,9 +19,13 @@
 
 namespace oef::sim {
 
+/// Length of one scheduling round (§6.1.1): the simulator's clock step and
+/// the spacing of generated arrival timestamps.
+inline constexpr double kRoundSeconds = 300.0;
+
 enum class ClusterEventKind {
   /// A new tenant (with fresh jobs) joins. The generator appends the tenant
-  /// and its jobs to the trace with arrival_time = round * round_seconds; the
+  /// and its jobs to the trace with arrival_time = round * kRoundSeconds; the
   /// event marks the round for bookkeeping.
   kTenantArrival,
   /// The tenant leaves; its unfinished jobs are cancelled and its devices
@@ -68,17 +72,14 @@ struct EventScheduleOptions {
   std::uint64_t seed = 17;
   /// Rounds covered by the generated schedule.
   std::size_t horizon_rounds = 60;
-  /// Matches SimOptions::round_seconds so arrival timestamps line up.
-  double round_seconds = 300.0;
   /// Per-round Bernoulli probabilities of each churn source.
   double tenant_arrival_rate = 0.05;
   double tenant_departure_rate = 0.05;
   double burst_rate = 0.05;
   double failure_rate = 0.05;
   double drift_rate = 0.02;
-  /// Burst shape.
+  /// Weight multiplier of a demand burst (which lasts 5 rounds).
   double burst_factor = 3.0;
-  std::size_t burst_duration = 5;
   /// Rounds a failed host stays down.
   std::size_t recovery_rounds = 8;
   /// Fraction of failures that take the whole host; the rest are partial
@@ -86,9 +87,8 @@ struct EventScheduleOptions {
   double whole_host_failure_fraction = 0.35;
   /// Lognormal sigma of one drift step (factor = exp(N(0, sigma))).
   double drift_sigma = 0.15;
-  /// Jobs given to each arriving tenant.
-  std::size_t jobs_per_arrival = 3;
-  /// Lognormal parameters of arriving jobs' length in iterations.
+  /// Lognormal parameters of the length in iterations of the 3 jobs each
+  /// arriving tenant brings.
   double arrival_iterations_mu = 9.0;
   double arrival_iterations_sigma = 0.8;
 };

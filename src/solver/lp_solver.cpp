@@ -166,7 +166,6 @@ class LpSolver::Core {
   std::size_t num_at_upper_ = 0;
   bool any_artificial_ = false;
   bool perturbed_ = false;
-  bool scaling_ = false;
 
   // Devex reference weights: per column for the primal entering choice, per
   // row for the dual leaving-row choice. Reset to 1 at each phase entry.
@@ -186,13 +185,7 @@ class LpSolver::Core {
 void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   internal::StandardForm sf =
       internal::build_standard_form(model, /*native_upper_bounds=*/true);
-  scaling_ = options.enable_scaling;
-  if (scaling_) {
-    internal::equilibrate(sf, row_scale_, col_scale_);
-  } else {
-    row_scale_.assign(sf.rows.size(), 1.0);
-    col_scale_.assign(sf.columns.size(), 1.0);
-  }
+  internal::equilibrate(sf, row_scale_, col_scale_);
 
   m_ = sf.rows.size();
   n_struct_ = sf.columns.size();
@@ -919,7 +912,7 @@ void LpSolver::Core::append_row(const internal::StandardRow& row) {
     coeffs[j] = row.coeffs[j] * col_scale_[j];
     biggest = std::max(biggest, std::abs(coeffs[j]));
   }
-  const double rscale = (scaling_ && biggest > 0.0) ? 1.0 / biggest : 1.0;
+  const double rscale = biggest > 0.0 ? 1.0 / biggest : 1.0;
   for (std::size_t j = 0; j < n_struct_; ++j) coeffs[j] *= rscale;
   const double rhs = row.rhs * rscale;
 
@@ -1231,7 +1224,7 @@ LpSolution LpSolver::solve(LpModel model) {
   incremental_ok_ = false;
 
   // Tableau mode never holds or imports an identity, so `prior` is empty.
-  if (options_.warm_start && prior.has_value()) {
+  if (prior.has_value()) {
     auto core = std::make_unique<Core>();
     core->load(model_, options_);
     LpSolution solution;

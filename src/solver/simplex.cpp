@@ -411,12 +411,7 @@ LpSolution SimplexSolver::solve(const LpModel& model) const {
     StandardForm sf = build_standard_form(model);
     std::vector<double> row_scale;
     std::vector<double> col_scale;
-    if (options_.enable_scaling) {
-      equilibrate(sf, row_scale, col_scale);
-    } else {
-      row_scale.assign(sf.rows.size(), 1.0);
-      col_scale.assign(sf.columns.size(), 1.0);
-    }
+    equilibrate(sf, row_scale, col_scale);
 
     // Second attempt uses Bland's rule throughout (slow but maximally
     // cautious) when the first produced an infeasible "optimum".

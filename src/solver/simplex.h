@@ -42,13 +42,8 @@ inline constexpr double kSolverTolerance = 1e-9;
 struct SolverOptions {
   /// Consecutive non-improving pivots before switching to Bland's rule.
   std::size_t stall_limit = 128;
-  /// Row/column max-equilibration before solving.
-  bool enable_scaling = true;
   /// Engine selection for LpSolver (SimplexSolver is always the tableau).
   LpAlgorithm algorithm = LpAlgorithm::kRevised;
-  /// Allow LpSolver::solve to reuse the previous optimal basis when the new
-  /// model has the same shape (rows, columns, relations) as the last one.
-  bool warm_start = true;
   /// Deterministic fault injection (see fault_injector.h). Non-owning: the
   /// injector must outlive every solver carrying these options. nullptr (the
   /// default) disables injection entirely. The tableau reference path never

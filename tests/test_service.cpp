@@ -411,6 +411,19 @@ TEST(AllocatorService, DedupSurvivesRestart) {
   std::remove(path.c_str());
 }
 
+TEST(AllocatorService, RetryAfterFailedCheckpointIsNotAcked) {
+  // The checkpoint cannot be written, so the add is refused as not durable.
+  // Its retry must not be answered "already applied": nothing became durable.
+  ServiceOptions options = base_options();
+  options.checkpoint_path = ::testing::TempDir() + "/oef_missing_dir/ckpt";
+  AllocatorService service(options);
+  const Request add = add_tenant("alice", {1.0, 2.0, 3.0}, 1.0, /*id=*/5);
+  EXPECT_EQ(service.handle(add).status, StatusCode::kInternalError);
+  const Response retry = service.handle(add);
+  EXPECT_NE(retry.status, StatusCode::kOk) << retry.message;
+  EXPECT_EQ(service.stats().checkpoints_written, 0u);
+}
+
 TEST(AllocatorService, CorruptCheckpointRefusesToStart) {
   const std::string path = ::testing::TempDir() + "/oef_ckpt_corrupt";
   {

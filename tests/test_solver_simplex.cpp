@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "solver/lp_model.h"
+#include "solver/lp_solver.h"
 
 namespace oef::solver {
 namespace {
@@ -189,22 +190,22 @@ TEST(Simplex, StrongDualityHolds) {
   EXPECT_NEAR(solution.objective, dual_objective, 1e-6);
 }
 
-TEST(Simplex, ScalingOnAndOffAgree) {
+TEST(Simplex, BadlyScaledModelReachesKnownOptimum) {
+  // Coefficients span eight orders of magnitude; equilibration must still
+  // land both engines on the optimum x = 1e6, y = 0 (objective 1000).
   LpModel model(Sense::kMaximize);
   const VarId x = model.add_variable("x", 0.0, kInf, 1e-3);
   const VarId y = model.add_variable("y", 0.0, kInf, 1e3);
   model.add_constraint(LinearExpr{}.add(x, 1e-4).add(y, 1e4), Relation::kLessEqual, 100.0);
   model.add_constraint(LinearExpr{}.add(x, 1.0), Relation::kLessEqual, 1e6);
 
-  SolverOptions scaled;
-  scaled.enable_scaling = true;
-  SolverOptions unscaled;
-  unscaled.enable_scaling = false;
-  const LpSolution a = SimplexSolver(scaled).solve(model);
-  const LpSolution b = SimplexSolver(unscaled).solve(model);
-  ASSERT_TRUE(a.optimal());
-  ASSERT_TRUE(b.optimal());
-  EXPECT_NEAR(a.objective, b.objective, 1e-4 * std::abs(a.objective));
+  LpSolver revised;
+  for (const LpSolution& solution : {SimplexSolver().solve(model), revised.solve(model)}) {
+    ASSERT_TRUE(solution.optimal());
+    EXPECT_NEAR(solution.objective, 1000.0, 1e-6);
+    EXPECT_NEAR(solution.values[x], 1e6, 1e-3);
+    EXPECT_NEAR(solution.values[y], 0.0, 1e-9);
+  }
 }
 
 TEST(Simplex, SolutionSatisfiesModelFeasibility) {

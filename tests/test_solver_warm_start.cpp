@@ -369,6 +369,31 @@ TEST(WarmStart, AllocatorRecyclesEnvyRowsAcrossCalls) {
   EXPECT_LE(second.lazy_rounds, reference.lazy_rounds);
 }
 
+TEST(WarmStart, RowIndexedPoolIsDroppedWhenUserCountChanges) {
+  // Calls without user ids key the pool by row index. At an unchanged n the
+  // whole pool is reseeded (so the solver reuses the basis); once n changes,
+  // row indices name different users and the call must run exactly like a
+  // fresh allocator's.
+  common::Rng rng(1212);
+  const std::vector<double> caps = {4.0, 3.0, 5.0};
+  const core::SpeedupMatrix w12 = random_matrix(rng, 12, 3);
+  const core::SpeedupMatrix w14 = random_matrix(rng, 14, 3);
+
+  const core::OefAllocator persistent = core::make_cooperative_oef();
+  ASSERT_TRUE(persistent.allocate(w12, caps).ok());
+  const std::size_t hits_before = persistent.solver_stats().warm_start_hits;
+  ASSERT_TRUE(persistent.allocate(w12, caps).ok());
+  EXPECT_GT(persistent.solver_stats().warm_start_hits, hits_before);
+
+  const core::AllocationResult resized = persistent.allocate(w14, caps);
+  const core::AllocationResult fresh = core::make_cooperative_oef().allocate(w14, caps);
+  ASSERT_TRUE(resized.ok());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(resized.lazy_rounds, fresh.lazy_rounds);
+  EXPECT_EQ(resized.envy_rows_added, fresh.envy_rows_added);
+  EXPECT_EQ(resized.lp_iterations, fresh.lp_iterations);
+}
+
 /// Envy pool size and the envy rows of the cooperative solver's final model,
 /// read from the allocator's checkpoint record (pool first, then the solver's
 /// warm identity, whose relations hold one entry per model row).
