@@ -115,7 +115,8 @@ struct AllocationResult {
   std::size_t compactions = 0;
   std::size_t warm_compactions = 0;
   /// Lazy rounds >= 2 completed by a warm dual-simplex resolve, and the
-  /// pivot split between cold solves and warm resolves.
+  /// pivot split between solves that started cold and warm-started ones
+  /// (warm resolves and a round 1 that reused the previous basis).
   std::size_t warm_rounds = 0;
   std::size_t cold_lp_iterations = 0;
   std::size_t warm_lp_iterations = 0;

@@ -403,6 +403,14 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
   // Ids applied by this batch. They join applied_ids_ only once the batch is
   // durable, so handle() never acknowledges a retry of a lost update.
   std::vector<std::uint64_t> batch_ids;
+  // The last durable state. A batch whose checkpoint fails is rolled back to
+  // it, so a mutation that is refused as not durable is not served either.
+  const bool durable = !options_.checkpoint_path.empty();
+  std::vector<Tenant> durable_tenants;
+  if (durable) durable_tenants = tenants_;
+  const std::uint64_t durable_next_id = next_tenant_id_;
+  const std::uint64_t durable_version = version_;
+  const std::shared_ptr<const WireSnapshot> durable_snapshot = snapshot_.load();
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
     PendingOp& op = *batch[i];
@@ -445,7 +453,7 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
 
   bool checkpoint_ok = true;
   std::string checkpoint_message;
-  if (any_applied && !options_.checkpoint_path.empty()) {
+  if (any_applied && durable) {
     try {
       write_checkpoint(options_.checkpoint_path, serialize_state(batch_ids));
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -454,6 +462,10 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
       checkpoint_ok = false;
       checkpoint_message = error.what();
       common::log_warn(std::string("service checkpoint write failed: ") + error.what());
+      tenants_ = std::move(durable_tenants);
+      next_tenant_id_ = durable_next_id;
+      version_ = durable_version;
+      snapshot_.store(durable_snapshot);
     }
   }
   if (checkpoint_ok) {
@@ -466,7 +478,7 @@ void AllocatorService::process_batch(std::vector<std::unique_ptr<PendingOp>>& ba
     std::string message = std::move(outcomes[i].message);
     if (outcomes[i].applied) {
       if (!checkpoint_ok) {
-        // The mutation is live in memory but not durable; refuse to
+        // The mutation was not durable and has been rolled back; refuse to
         // acknowledge success so a crash cannot lose an acked update.
         status = StatusCode::kInternalError;
         message = "applied but checkpoint failed: " + checkpoint_message;

@@ -45,6 +45,7 @@ bool Basis::refactor_due(std::size_t eta_cap, double fill_growth) const {
 
 std::vector<double> Basis::ftran(const std::vector<double>& a) const {
   const std::size_t m = basic_.size();
+  OEF_CHECK(!stale_);
   OEF_CHECK(a.size() == m);
   std::vector<double> z(m, 0.0);
   for (std::size_t k = 0; k < m; ++k) z[k] = a[row_of_[k]];
@@ -52,6 +53,7 @@ std::vector<double> Basis::ftran(const std::vector<double>& a) const {
 }
 
 std::vector<double> Basis::ftran(const std::vector<SparseEntry>& a) const {
+  OEF_CHECK(!stale_);
   std::vector<double> z(basic_.size(), 0.0);
   // += so duplicate-row entries accumulate.
   for (const SparseEntry& entry : a) z[factor_of_row_[entry.row]] += entry.value;
@@ -59,12 +61,14 @@ std::vector<double> Basis::ftran(const std::vector<SparseEntry>& a) const {
 }
 
 std::vector<double> Basis::btran(const std::vector<double>& cb) const {
+  OEF_CHECK(!stale_);
   OEF_CHECK(cb.size() == basic_.size());
   return btran_position_space(cb);
 }
 
 std::vector<double> Basis::btran_unit(std::size_t pos) const {
   const std::size_t m = basic_.size();
+  OEF_CHECK(!stale_);
   OEF_CHECK(pos < m);
   std::vector<double> c(m, 0.0);
   c[pos] = 1.0;
@@ -88,34 +92,13 @@ void Basis::pivot(std::size_t leave_row, std::size_t enter_col,
   basic_[leave_row] = enter_col;
 }
 
-void Basis::append_row(const std::vector<double>& row_basic_coeffs, std::size_t slack_col) {
-  const std::size_t m = basic_.size();
-  OEF_CHECK(row_basic_coeffs.size() == m);
-  // Bordered update: B' = [[B, 0], [a^T, 1]]. With B = P_r^T L U P_c^T E,
-  // the extension only needs the new L row h solving h^T U = (P_c^T E^-T a)^T
-  // — one eta pass plus one sparse U^T solve; L, U and the eta file are
-  // otherwise untouched.
-  std::vector<double> b = row_basic_coeffs;
-  apply_eta_transposes(b);
-  std::vector<double> h(m + 1, 0.0);
-  for (std::size_t k = 0; k < m; ++k) h[k] = b[col_order_[k]];
-  solve_ut(h, m);
-  std::vector<Entry> lrow;
-  for (std::size_t k = 0; k < m; ++k) {
-    if (h[k] == 0.0) continue;
-    lcols_[k].push_back({m, h[k]});
-    lrow.push_back({k, h[k]});
-  }
-  lu_nnz_ += lrow.size() + 1;
-  lrows_.push_back(std::move(lrow));
-  lcols_.emplace_back();
-  ucols_.emplace_back();
-  urows_.emplace_back();
-  udiag_.push_back(1.0);
-  row_of_.push_back(m);
-  factor_of_row_.push_back(m);
-  col_order_.push_back(m);
+void Basis::append_slack(std::size_t slack_col) {
+  // B' = [[B, 0], [a^T, 1]] is nonsingular whenever B is, but the factor of B
+  // does not describe it; the caller refactorises before the next solve (a
+  // resolve refactorises unconditionally), so updating it here would be dead
+  // work.
   basic_.push_back(slack_col);
+  stale_ = true;
 }
 
 void Basis::delete_rows(const std::vector<std::size_t>& positions,
@@ -161,6 +144,7 @@ void Basis::install_identity() {
   etas_.clear();
   eta_nnz_ = 0;
   lu_nnz_ = m;
+  stale_ = false;
 }
 
 /// L then U solve plus the eta file, input/output in factor/position space.
@@ -199,7 +183,7 @@ std::vector<double> Basis::btran_position_space(std::vector<double> c) const {
   apply_eta_transposes(c);
   std::vector<double> g(m, 0.0);
   for (std::size_t k = 0; k < m; ++k) g[k] = c[col_order_[k]];
-  solve_ut(g, m);
+  solve_ut(g);
   // L^T v = z, backward scatter over L rows.
   for (std::size_t i = m; i-- > 0;) {
     const double vi = g[i];
@@ -220,10 +204,10 @@ void Basis::apply_eta_transposes(std::vector<double>& c) const {
   }
 }
 
-/// U^T z = g solved in place over the first `n` factor indices (forward
-/// scatter over U rows; zero intermediates skip their row).
-void Basis::solve_ut(std::vector<double>& g, std::size_t n) const {
-  for (std::size_t j = 0; j < n; ++j) {
+/// U^T z = g solved in place (forward scatter over U rows; zero
+/// intermediates skip their row).
+void Basis::solve_ut(std::vector<double>& g) const {
+  for (std::size_t j = 0; j < g.size(); ++j) {
     const double zj = g[j] / udiag_[j];
     g[j] = zj;
     if (zj == 0.0) continue;
@@ -371,6 +355,7 @@ bool Basis::refactor(const SparseMatrix& columns) {
     for (std::size_t d = 0; d < deferred.size(); ++d) {
       deficiency_.push_back({deferred[d], unpivoted[d]});
     }
+    stale_ = true;
     return false;
   }
 
@@ -397,6 +382,7 @@ bool Basis::refactor(const SparseMatrix& columns) {
   }
   etas_.clear();
   eta_nnz_ = 0;
+  stale_ = false;
   return true;
 }
 

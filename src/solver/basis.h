@@ -4,17 +4,19 @@
 // The revised simplex in lp_solver.cpp keeps the constraint matrix A fixed
 // and represents the current vertex entirely through this object: solves with
 // B^-1 (ftran/btran), per-pivot updates, refactorisation to bound numerical
-// drift, cheap expansion when a constraint row is appended, and warm row
-// deletion — the operations that make warm-started row generation (and
-// relaxation compaction) cheap.
+// drift, slack appends when a constraint row is added, and warm row deletion
+// — the operations that make warm-started row generation (and relaxation
+// compaction) cheap.
 //
 // The representation is a sparse LU factorisation of B (left-looking
 // Gilbert–Peierls elimination with threshold partial pivoting and a static
 // Markowitz-style sparsest-row tie-break) plus a product-form eta file, one
 // eta per pivot. ftran/btran are sparse triangular + eta solves that skip zero
-// intermediates, so the per-pivot cost is O(nnz) rather than O(m^2); appending
-// a row is a bordered update (one sparse U^T solve). Refactorisation is
-// triggered by eta-file length / fill growth. This is what carries the
+// intermediates, so the per-pivot cost is O(nnz) rather than O(m^2).
+// Refactorisation is triggered by eta-file length / fill growth. Appending a
+// row (append_slack) does not update the factor: it marks it stale, every
+// solve refuses a stale factor, and the caller refactorises before the next
+// solve — which the resolve path does anyway. This is what carries the
 // n ~ 1000 cooperative sweep (m ~ 16k envy rows).
 #pragma once
 
@@ -37,18 +39,21 @@ class Basis {
   /// Installs a basic set and an identity factorisation; valid as-is only
   /// when the basis matrix actually is the identity (the all-slack /
   /// all-artificial start), otherwise call refactor() before any solve.
-  /// Clears the eta file.
+  /// Clears the eta file and the stale mark.
   void set_basic(std::vector<std::size_t> basic);
 
   /// Factorises B from scratch against `columns` (the full constraint matrix;
   /// the basic set selects which columns form B). Returns false when the
   /// basis matrix is numerically singular — deficiency() then names the
-  /// positions to repair, and the previous representation is unusable.
+  /// positions to repair, and the factor is stale (unusable) until the next
+  /// successful refactor() or set_basic(). Success clears the stale mark.
   [[nodiscard]] bool refactor(const SparseMatrix& columns);
 
   /// True when the eta file is due for a refactorisation: its length reached
   /// `eta_cap`, or its nonzeros exceed `fill_growth` x (LU nonzeros + m).
   [[nodiscard]] bool refactor_due(std::size_t eta_cap, double fill_growth) const;
+
+  // The four solves below abort (OEF_CHECK) on a stale factor.
 
   /// w = B^-1 a (a indexed by constraint row, w by basis position).
   [[nodiscard]] std::vector<double> ftran(const std::vector<double>& a) const;
@@ -68,11 +73,10 @@ class Basis {
   void pivot(std::size_t leave_row, std::size_t enter_col,
              const std::vector<double>& ftran_col);
 
-  /// Extends the basis for one appended constraint row whose slack column
-  /// (index `slack_col`) becomes basic in the new row. `row_basic_coeffs`
-  /// holds the new row's coefficient on each current basic column, in
-  /// position order. Keeps the representation exact with a bordered L row.
-  void append_row(const std::vector<double>& row_basic_coeffs, std::size_t slack_col);
+  /// Extends the basic set for one appended constraint row whose slack
+  /// column `slack_col` becomes basic in the new row. The factor is not
+  /// updated but marked stale: refactor() must run before the next solve.
+  void append_slack(std::size_t slack_col);
 
   /// Warm row deletion: removes the basic `positions` (sorted ascending; each
   /// must hold a unit column of one deleted constraint row so B stays
@@ -118,7 +122,7 @@ class Basis {
   std::vector<double> ftran_factor_space(std::vector<double> z) const;
   std::vector<double> btran_position_space(std::vector<double> c) const;
   void apply_eta_transposes(std::vector<double>& c) const;
-  void solve_ut(std::vector<double>& g, std::size_t n) const;
+  void solve_ut(std::vector<double>& g) const;
 
   std::vector<std::size_t> basic_;
   // LU factors in factor space: position k of the factorisation eliminates
@@ -135,6 +139,9 @@ class Basis {
   std::vector<std::pair<std::size_t, std::size_t>> deficiency_;
   std::size_t eta_nnz_ = 0;
   std::size_t lu_nnz_ = 0;
+  // The factor no longer describes basic_ (a slack was appended, or the last
+  // refactor() failed).
+  bool stale_ = false;
 };
 
 }  // namespace oef::solver

@@ -44,8 +44,8 @@ LazySolveResult LazyConstraintSolver::solve(LpSolver& solver, LpModel model,
     // model incrementally — cold when a compaction's excision was refused.
     result.solution = result.rounds == 1 ? solver.solve(std::move(model)) : solver.resolve();
     result.total_iterations += result.solution.iterations;
-    if (result.rounds > 1 && result.solution.warm_started) {
-      ++result.warm_rounds;
+    if (result.solution.warm_started) {
+      if (result.rounds > 1) ++result.warm_rounds;
       result.warm_iterations += result.solution.iterations;
     } else {
       result.cold_iterations += result.solution.iterations;

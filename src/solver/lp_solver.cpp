@@ -52,8 +52,10 @@ double seconds_since(double start) { return common::monotonic_seconds() - start;
 // set, at its finite upper bound; the primal ratio test lets basics leave at
 // either bound and lets the entering column flip bounds without a basis
 // change, and the dual ratio test prices both directions. The constraint
-// matrix is stored column-sparse (SparseMatrix); every pricing pass iterates
-// nonzeros only.
+// matrix is stored column-sparse with a row-major mirror (SparseMatrix): the
+// passes that multiply a vector into all of A (yᵀA, ρᵀA) visit only the rows
+// where the vector is nonzero, and the dual ratio test computes reduced costs
+// only for the columns it actually tests.
 class LpSolver::Core {
  public:
   void load(const LpModel& model, const SolverOptions& options);
@@ -78,7 +80,8 @@ class LpSolver::Core {
   }
 
   /// Appends one inequality row (already <=-normalised by build_standard_row)
-  /// with a fresh basic slack. Keeps the basis representation exact.
+  /// with a fresh basic slack. Leaves the basis factor stale: run_resolve
+  /// refactorises before its first solve.
   void append_row(const internal::StandardRow& row);
 
   /// Warm row deletion: excises the given standard rows (== model constraint
@@ -120,10 +123,6 @@ class LpSolver::Core {
   [[nodiscard]] std::vector<double> ftran_column(std::size_t col) const {
     return basis_.ftran(cols_.column(col));
   }
-  /// out[j] += factor * (v · A_j) for every column j: the shared kernel of
-  /// reduced-cost and pivot-row pricing, over CSC nonzeros.
-  void accumulate_vt_a(const std::vector<double>& v, double factor,
-                       std::vector<double>& out) const;
   [[nodiscard]] bool refactor();
   [[nodiscard]] bool refactor_if_due();
   void inject_basis_fault();
@@ -134,6 +133,10 @@ class LpSolver::Core {
   [[nodiscard]] std::vector<double> basic_costs(bool phase1) const;
   [[nodiscard]] std::vector<double> reduced_costs(const std::vector<double>& y,
                                                   bool phase1) const;
+  /// One phase-2 reduced cost, equal bit for bit to reduced_costs(y)[j].
+  [[nodiscard]] double reduced_cost(std::size_t j, const std::vector<double>& y) const {
+    return cost_[j] - cols_.dot_column(j, y);
+  }
   [[nodiscard]] double phase_objective(bool phase1) const;
   void update_primal_devex(const std::vector<double>& rho, std::size_t enter,
                            std::size_t leaving_col, double pivot_alpha);
@@ -285,14 +288,6 @@ void LpSolver::Core::load(const LpModel& model, const SolverOptions& options) {
   injector_ = options.fault_injector;
 }
 
-void LpSolver::Core::accumulate_vt_a(const std::vector<double>& v, double factor,
-                                     std::vector<double>& out) const {
-  for (std::size_t j = 0; j < num_cols_; ++j) {
-    const double acc = cols_.dot_column(j, v);
-    if (acc != 0.0) out[j] += factor * acc;
-  }
-}
-
 void LpSolver::Core::inject_basis_fault() {
   // Duplicate one basic column: the basis matrix turns structurally singular,
   // so the next refactorisation reports a deficiency and the repair loop
@@ -411,7 +406,7 @@ std::vector<double> LpSolver::Core::reduced_costs(const std::vector<double>& y,
   } else {
     d = cost_;
   }
-  accumulate_vt_a(y, -1.0, d);
+  cols_.add_transpose_product(y, -1.0, d);
   return d;
 }
 
@@ -432,10 +427,12 @@ void LpSolver::Core::update_primal_devex(const std::vector<double>& rho, std::si
   if (std::abs(pivot_alpha) < 1e-12) return;
   const double gq = primal_weights_[enter];
   const double inv2 = 1.0 / (pivot_alpha * pivot_alpha);
+  std::vector<double> alphas(num_cols_, 0.0);
+  cols_.add_transpose_product(rho, 1.0, alphas);
   double biggest = 1.0;
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (in_basis_[j] || j == leaving_col) continue;
-    const double alpha = cols_.dot_column(j, rho);
+    const double alpha = alphas[j];
     if (alpha != 0.0) {
       const double candidate = alpha * alpha * inv2 * gq;
       if (candidate > primal_weights_[j]) primal_weights_[j] = candidate;
@@ -666,13 +663,14 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
     }
     if (leave == SIZE_MAX) return SolveStatus::kOptimal;
 
+    // Reduced costs are read only by the ratio test, and only for columns
+    // whose alpha passes its pivot tolerance, so they are computed there.
     const std::vector<double> y = basis_.btran(basic_costs(/*phase1=*/false));
-    const std::vector<double> d = reduced_costs(y, /*phase1=*/false);
 
     // alpha = (row `leave` of B^-1) * A, per column.
     const std::vector<double> rho = basis_.btran_unit(leave);
     std::vector<double> alpha(num_cols_, 0.0);
-    accumulate_vt_a(rho, 1.0, alpha);
+    cols_.add_transpose_product(rho, 1.0, alpha);
 
     // Dual ratio test over both bound directions. sigma = +1 when the
     // leaving variable exits at its lower bound (its basic value must rise),
@@ -692,10 +690,10 @@ SolveStatus LpSolver::Core::run_dual(const SolverOptions& options) {
         double ratio;
         if (!at_upper_[j]) {
           if (a >= -pivot_tol) continue;
-          ratio = std::max(0.0, d[j]) / -a;
+          ratio = std::max(0.0, reduced_cost(j, y)) / -a;
         } else {
           if (a <= pivot_tol) continue;
-          ratio = std::max(0.0, -d[j]) / a;
+          ratio = std::max(0.0, -reduced_cost(j, y)) / a;
         }
         const double tie_band = 1e-9 * (1.0 + ratio);
         if (enter == SIZE_MAX || ratio < best_ratio - tie_band) {
@@ -761,7 +759,7 @@ void LpSolver::Core::drive_out_artificials() {
     if (!artificial_[basic[i]]) continue;
     const std::vector<double> rho = basis_.btran_unit(i);
     std::vector<double> alpha(num_cols_, 0.0);
-    accumulate_vt_a(rho, 1.0, alpha);
+    cols_.add_transpose_product(rho, 1.0, alpha);
     // Pick the largest structural |alpha| among at-lower nonbasic columns.
     std::size_t enter = SIZE_MAX;
     double best = 1e-8;
@@ -906,21 +904,21 @@ SolveStatus LpSolver::Core::run_warm_from(const LpWarmState& prior,
 
 void LpSolver::Core::append_row(const internal::StandardRow& row) {
   OEF_CHECK(row.relation == Relation::kLessEqual);
-  std::vector<double> coeffs(num_cols_ + 1, 0.0);
+  std::vector<std::pair<std::size_t, double>> coeffs;  // nonzero structurals
   double biggest = 0.0;
   for (std::size_t j = 0; j < n_struct_; ++j) {
-    coeffs[j] = row.coeffs[j] * col_scale_[j];
-    biggest = std::max(biggest, std::abs(coeffs[j]));
+    const double value = row.coeffs[j] * col_scale_[j];
+    if (value == 0.0) continue;
+    coeffs.emplace_back(j, value);
+    biggest = std::max(biggest, std::abs(value));
   }
   const double rscale = biggest > 0.0 ? 1.0 / biggest : 1.0;
-  for (std::size_t j = 0; j < n_struct_; ++j) coeffs[j] *= rscale;
   const double rhs = row.rhs * rscale;
 
   // New slack column, basic in the new row.
   const std::size_t slack_col = num_cols_;
-  coeffs[slack_col] = 1.0;
   cols_.set_rows(m_ + 1);
-  for (std::size_t j = 0; j < n_struct_; ++j) cols_.add_entry(j, m_, coeffs[j]);
+  for (const auto& [j, value] : coeffs) cols_.add_entry(j, m_, value * rscale);
   cols_.add_column();
   cols_.add_entry(slack_col, m_, 1.0);
   cost_.push_back(0.0);
@@ -931,11 +929,7 @@ void LpSolver::Core::append_row(const internal::StandardRow& row) {
   primal_weights_.push_back(1.0);
   dual_weights_.push_back(1.0);
   ++num_cols_;
-
-  std::vector<double> row_basic(m_, 0.0);
-  const auto& basic = basis_.basic();
-  for (std::size_t i = 0; i < m_; ++i) row_basic[i] = coeffs[basic[i]];
-  basis_.append_row(row_basic, slack_col);
+  basis_.append_slack(slack_col);
 
   relations_.push_back(Relation::kLessEqual);
   row_refs_.push_back(row.ref);
@@ -1077,13 +1071,11 @@ bool LpSolver::Core::delete_rows(const std::vector<std::size_t>& rows) {
 
 SolveStatus LpSolver::Core::run_resolve(const SolverOptions& options) {
   iterations_ = phase1_iterations_ = dual_iterations_ = 0;
-  // append_row() kept the basis representation exact (bordered update /
-  // inverse extension), but a resolve refactorises unconditionally anyway,
-  // which fixes its pivots as a function of (model, basic set, at-upper
-  // flags) alone. Checkpoint restore does not depend on it: a restored
-  // solver enters through solve() -> run_warm_from, which refactorises for
-  // the live solver too. Dropping this refactor changes pivots and is a
-  // performance question only.
+  // Required: append_row() leaves the basis factor stale, so no solve can run
+  // before this refactor. Refactorising unconditionally also fixes a
+  // resolve's pivots as a function of (model, basic set, at-upper flags)
+  // alone. Checkpoint restore does not depend on it: a restored solver
+  // enters through solve() -> run_warm_from, which refactorises too.
   if (!refactor()) return SolveStatus::kIterationLimit;
   refresh_xb();
   const SolveStatus status = run_dual(options);

@@ -419,8 +419,13 @@ TEST(AllocatorService, RetryAfterFailedCheckpointIsNotAcked) {
   AllocatorService service(options);
   const Request add = add_tenant("alice", {1.0, 2.0, 3.0}, 1.0, /*id=*/5);
   EXPECT_EQ(service.handle(add).status, StatusCode::kInternalError);
+  // The refused add was rolled back: it is not served...
+  EXPECT_TRUE(service.snapshot()->tenants.empty());
+  // ...and its retry is applied afresh, not found already registered.
   const Response retry = service.handle(add);
-  EXPECT_NE(retry.status, StatusCode::kOk) << retry.message;
+  EXPECT_EQ(retry.status, StatusCode::kInternalError) << retry.message;
+  EXPECT_EQ(retry.message.find("already"), std::string::npos) << retry.message;
+  EXPECT_TRUE(service.snapshot()->tenants.empty());
   EXPECT_EQ(service.stats().checkpoints_written, 0u);
 }
 

@@ -3,11 +3,13 @@
 // Every solve the basis exposes is checked by its residual against B itself,
 // assembled from the SparseMatrix columns the basic set selects:
 // ‖B ftran(a) − a‖∞, ‖btran(c)ᵀB − cᵀ‖∞ and btran_unit(pos)ᵀB == e_posᵀ —
-// after fresh factorisations, eta-accumulating pivots, bordered row appends
-// and warm row deletions. A refactorisation must change nothing but the
-// representation. On top of the unit-level checks, whole solves must reach
-// the independent tableau's optimum, and the lazy-loop relaxation compaction
-// must take the warm-deletion path.
+// after fresh factorisations, eta-accumulating pivots, slack appends (which
+// leave the factor stale until refactor(), and a stale factor refuses to
+// solve) and warm row deletions. A refactorisation must change nothing but
+// the representation. The row-major transpose product of SparseMatrix must
+// equal its per-column dot products exactly. On top of the unit-level checks,
+// whole solves must reach the independent tableau's optimum, and the
+// lazy-loop relaxation compaction must take the warm-deletion path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -235,7 +237,7 @@ TEST(FactoredBasis, FreshFactorisationsSolveAgainstB) {
   EXPECT_GE(compared, 25);  // the generator must produce real work
 }
 
-TEST(FactoredBasis, EtaUpdatesAndBorderedAppendsKeepResidualsSmall) {
+TEST(FactoredBasis, EtaUpdatesAndSlackAppendsKeepResidualsSmall) {
   common::Rng rng(411);
   int pivots_done = 0;
   for (int trial = 0; trial < 20; ++trial) {
@@ -256,25 +258,129 @@ TEST(FactoredBasis, EtaUpdatesAndBorderedAppendsKeepResidualsSmall) {
       expect_residuals_small(lu, a, rng, "after pivot");
     }
 
-    // Bordered append on top of the eta file, as add_rows() performs it: the
-    // new row's coefficients on the basic columns, plus a basic unit slack.
-    std::vector<double> coeffs(lu.size(), 0.0);
-    for (double& v : coeffs) {
-      if (rng.uniform() < 0.4) v = rng.uniform(-2.0, 2.0);
-    }
+    // Row append on top of the eta file, as add_rows() performs it: the new
+    // row's coefficients on some basic columns, plus a basic unit slack. The
+    // factor goes stale; a resolve refactorises before its first solve.
     a.set_rows(m + 1);
-    for (std::size_t i = 0; i < lu.size(); ++i) a.add_entry(lu.basic()[i], m, coeffs[i]);
+    for (std::size_t i = 0; i < lu.size(); ++i) {
+      if (rng.uniform() < 0.4) a.add_entry(lu.basic()[i], m, rng.uniform(-2.0, 2.0));
+    }
     const std::size_t slack_col = a.add_column();
     a.add_entry(slack_col, m, 1.0);
-    lu.append_row(coeffs, slack_col);
+    lu.append_slack(slack_col);
     ASSERT_EQ(lu.size(), m + 1);
-    expect_residuals_small(lu, a, rng, "after append");
+    EXPECT_EQ(lu.basic().back(), slack_col);
+    ASSERT_TRUE(lu.refactor(a));
+    expect_residuals_small(lu, a, rng, "after append + refactor");
 
-    // Further pivots stack etas on the bordered factor.
+    // Further pivots stack etas on the refactorised basis.
     pivots_done += random_pivots(lu, a, rng, m, 3);
     expect_residuals_small(lu, a, rng, "after append + pivots");
   }
   EXPECT_GE(pivots_done, 40);
+}
+
+TEST(FactoredBasisDeathTest, StaleFactorRefusesToSolve) {
+  // After a slack append the factor no longer describes B; every solve must
+  // refuse it rather than return B_old^-1 products, until refactor() (or
+  // set_basic()) installs a factor of the extended basis.
+  SparseMatrix a;
+  a.reset(2);
+  for (std::size_t j = 0; j < 2; ++j) {
+    a.add_column();
+    a.add_entry(j, j, 1.0);
+  }
+  Basis lu;
+  lu.set_basic({0, 1});
+  ASSERT_TRUE(lu.refactor(a));
+  a.set_rows(3);
+  a.add_entry(0, 2, 2.0);
+  const std::size_t slack = a.add_column();
+  a.add_entry(slack, 2, 1.0);
+  lu.append_slack(slack);
+  const std::vector<double> rhs = {1.0, 2.0, 3.0};
+  EXPECT_DEATH((void)lu.ftran(rhs), "stale");
+  EXPECT_DEATH((void)lu.ftran(a.column(0)), "stale");
+  EXPECT_DEATH((void)lu.btran(rhs), "stale");
+  EXPECT_DEATH((void)lu.btran_unit(0), "stale");
+
+  ASSERT_TRUE(lu.refactor(a));
+  const std::vector<double> w = lu.ftran(rhs);
+  // B = [[1, 0, 0], [0, 1, 0], [2, 0, 1]]: w = (1, 2, 3 - 2·1).
+  EXPECT_EQ(w, (std::vector<double>{1.0, 2.0, 1.0}));
+}
+
+TEST(SparseMatrixMirror, TransposeProductEqualsColumnDotsExactly) {
+  // add_transpose_product walks the row mirror and skips zero entries of v;
+  // every product must still equal dot_column bit for bit — after appended
+  // rows and columns (the add_rows() path) and after a rebuild that drops
+  // rows and columns (the warm-deletion path).
+  common::Rng rng(16016);
+  const auto random_vector = [&](std::size_t size) {
+    std::vector<double> v(size, 0.0);
+    for (double& x : v) {
+      if (rng.uniform() < 0.3) x = rng.uniform(-3.0, 3.0);
+    }
+    return v;
+  };
+  const auto expect_exact = [&](const SparseMatrix& a, const char* label) {
+    for (int probe = 0; probe < 4; ++probe) {
+      const std::vector<double> v = random_vector(a.rows());
+      const double factor = probe % 2 == 0 ? 1.0 : -1.0;
+      std::vector<double> base(a.cols(), 0.0);
+      if (probe >= 2) {
+        for (double& x : base) x = rng.uniform(-1.0, 1.0);
+      }
+      std::vector<double> out = base;
+      a.add_transpose_product(v, factor, out);
+      for (std::size_t j = 0; j < a.cols(); ++j) {
+        const double dot = a.dot_column(j, v);
+        const double expected = dot != 0.0 ? base[j] + factor * dot : base[j];
+        EXPECT_EQ(out[j], expected) << label << " column " << j;
+      }
+    }
+  };
+  int compared = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 20));
+    const std::size_t extra = static_cast<std::size_t>(rng.uniform_int(1, 15));
+    SparseMatrix a = random_matrix(rng, m, extra);
+    expect_exact(a, "fresh");
+
+    // Appended rows, each touching some existing columns and its own new
+    // column, as add_rows() appends an envy row and its slack.
+    const std::size_t appended = static_cast<std::size_t>(rng.uniform_int(1, 4));
+    for (std::size_t r = 0; r < appended; ++r) {
+      const std::size_t row = a.rows();
+      a.set_rows(row + 1);
+      for (std::size_t j = 0; j < a.cols(); ++j) {
+        if (rng.uniform() < 0.3) a.add_entry(j, row, rng.uniform(-2.0, 2.0));
+      }
+      a.add_entry(a.add_column(), row, 1.0);
+    }
+    expect_exact(a, "after appends");
+
+    // Rebuild without some rows and columns, renumbering the survivors.
+    std::vector<char> drop_row(a.rows(), 0);
+    for (char& d : drop_row) d = rng.uniform() < 0.3 ? 1 : 0;
+    std::vector<std::size_t> row_remap(a.rows(), SIZE_MAX);
+    std::size_t kept_rows = 0;
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      if (!drop_row[i]) row_remap[i] = kept_rows++;
+    }
+    SparseMatrix reduced;
+    reduced.reset(kept_rows);
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (rng.uniform() < 0.2) continue;
+      const std::size_t nj = reduced.add_column();
+      for (const SparseEntry& e : a.column(j)) {
+        if (!drop_row[e.row]) reduced.add_entry(nj, row_remap[e.row], e.value);
+      }
+    }
+    expect_exact(reduced, "after deletion");
+    ++compared;
+  }
+  EXPECT_EQ(compared, 30);
 }
 
 TEST(FactoredBasis, RefactorTriggerTracksEtaFileAndResetsIt) {

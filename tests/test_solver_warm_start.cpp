@@ -369,6 +369,43 @@ TEST(WarmStart, AllocatorRecyclesEnvyRowsAcrossCalls) {
   EXPECT_LE(second.lazy_rounds, reference.lazy_rounds);
 }
 
+TEST(WarmStart, WarmStartedRoundOneBooksItsPivotsAsWarm) {
+  // A later allocate() with the same users warm-starts lazy round 1 from the
+  // previous optimum, so none of its pivots are cold — for a repeated input
+  // and for a drifted one, whose round 1 needs real pivots.
+  common::Rng rng(4242);
+  const std::size_t n = 8;
+  const std::size_t k = 4;
+  const core::SpeedupMatrix w1 = random_matrix(rng, n, k);
+  std::vector<std::vector<double>> rows2(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    rows2[l].resize(k);
+    for (std::size_t j = 0; j < k; ++j) rows2[l][j] = w1.at(l, j) * rng.uniform(0.9, 1.1);
+  }
+  const core::SpeedupMatrix w2(std::move(rows2));
+  const std::vector<double> caps = {4.0, 3.0, 5.0, 2.0};
+
+  const core::OefAllocator persistent = core::make_cooperative_oef();
+  const core::AllocationResult first = persistent.allocate(w1, caps);
+  ASSERT_TRUE(first.ok());
+  EXPECT_GT(first.cold_lp_iterations, 0u);
+
+  for (const core::SpeedupMatrix* w : {&w1, &w2}) {
+    const solver::LpSolverStats before = persistent.solver_stats();
+    const core::AllocationResult again = persistent.allocate(*w, caps);
+    ASSERT_TRUE(again.ok());
+    const solver::LpSolverStats after = persistent.solver_stats();
+    ASSERT_EQ(after.cold_solves, before.cold_solves);
+    ASSERT_EQ(after.warm_start_hits, before.warm_start_hits + 1);
+    EXPECT_EQ(again.cold_lp_iterations, 0u);
+    EXPECT_EQ(again.warm_lp_iterations, again.lp_iterations);
+    EXPECT_EQ(again.warm_rounds, again.lazy_rounds - 1);
+    if (w == &w2) {
+      EXPECT_GT(again.warm_lp_iterations, 0u);
+    }
+  }
+}
+
 TEST(WarmStart, RowIndexedPoolIsDroppedWhenUserCountChanges) {
   // Calls without user ids key the pool by row index. At an unchanged n the
   // whole pool is reseeded (so the solver reuses the basis); once n changes,
